@@ -1,11 +1,14 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "core/sweep_journal.hpp"
@@ -51,6 +54,102 @@ std::vector<int> resolve_jobs(const SweepGrid& grid) {
   return grid.job_counts.empty() ? std::vector<int>{grid.base.workload.job_count}
                                  : grid.job_counts;
 }
+
+/// The streaming in-order fold's shared state for one SweepEngine::run.
+/// Flat cases [begin, end) are cut into blocks; block b (counted from
+/// `begin`) lives in ring slot b % window until the run() thread folds it.
+/// A lane may simulate a case only while its block is inside the window
+/// [frontier, frontier + window), so scratch memory stays at window blocks
+/// and a slot is always folded before it is reused.
+class CaseStream {
+ public:
+  CaseStream(std::size_t begin, std::size_t end, std::size_t block, std::size_t window)
+      : begin_(begin),
+        end_(end),
+        block_(block),
+        window_(window),
+        blocks_((end - begin + block - 1) / block),
+        slots_(std::min(window * block, end - begin)),
+        next_(begin),
+        done_(std::min(window, blocks_)) {}
+
+  [[nodiscard]] std::size_t blocks() const { return blocks_; }
+  [[nodiscard]] std::size_t block_start(std::size_t b) const { return begin_ + b * block_; }
+  [[nodiscard]] std::size_t block_cases(std::size_t b) const {
+    return std::min(block_, end_ - block_start(b));
+  }
+  /// Blocks folded so far; only the run() thread advances it.
+  [[nodiscard]] std::size_t frontier() const { return frontier_; }
+
+  /// Claim the next flat case; false once every case is claimed or the
+  /// run has stopped.
+  bool claim(std::size_t& flat) {
+    if (stop_) return false;
+    flat = next_++;
+    return flat < end_;
+  }
+  [[nodiscard]] bool in_window(std::size_t flat) const {
+    return block_of(flat) < frontier_ + window_;
+  }
+  SweepCaseOutcome& slot(std::size_t flat) {
+    const std::size_t rel = flat - begin_;
+    return slots_[(rel / block_) % window_ * block_ + rel % block_];
+  }
+  /// Mark a case's slot written; wakes the run() thread when the case
+  /// completes its block.
+  void finish(std::size_t flat) {
+    const std::size_t b = block_of(flat);
+    const std::lock_guard lock(mutex_);
+    if (++done_[b % window_] == block_cases(b)) cv_.notify_all();
+  }
+  /// Whether every case of the frontier block has landed.
+  [[nodiscard]] bool frontier_complete() const {
+    const std::size_t f = frontier_;
+    return f < blocks_ && done_[f % window_] == block_cases(f);
+  }
+  /// Hand the folded frontier block's slots back to the claimers.
+  void advance() {
+    const std::lock_guard lock(mutex_);
+    done_[frontier_ % window_] = 0;
+    ++frontier_;
+    cv_.notify_all();
+  }
+  /// Stop every lane: claims fail and waits return false.
+  void stop() {
+    const std::lock_guard lock(mutex_);
+    stop_ = true;
+    cv_.notify_all();
+  }
+  /// Block until ready() holds; false if the run stopped instead. The time
+  /// spent blocked is added to `waited_s`.
+  template <typename Ready>
+  bool wait(Ready ready, double& waited_s) {
+    if (ready()) return true;
+    GREENHPC_TRACE_SPAN("sweep.lane.wait");
+    const auto t0 = std::chrono::steady_clock::now();
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return stop_ || ready(); });
+    waited_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return !stop_;
+  }
+
+ private:
+  [[nodiscard]] std::size_t block_of(std::size_t flat) const {
+    return (flat - begin_) / block_;
+  }
+
+  const std::size_t begin_, end_, block_, window_, blocks_;
+  std::vector<SweepCaseOutcome> slots_;
+  std::atomic<std::size_t> next_;
+  /// Every change to done_, frontier_ and stop_ happens under mutex_, so
+  /// waiters on cv_ cannot miss one; they are atomics so that lanes can
+  /// also read them without the lock.
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<std::atomic<std::size_t>> done_;  ///< cases landed per ring slot
+  std::atomic<std::size_t> frontier_{0};
+  std::atomic<bool> stop_{false};
+};
 
 }  // namespace
 
@@ -389,6 +488,7 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
   static obs::Gauge& cases_per_s = obs::Registry::global().gauge("sweep.cases_per_s");
   static obs::Gauge& simulate_s = obs::Registry::global().gauge("sweep.simulate_s");
   static obs::Gauge& fold_s = obs::Registry::global().gauge("sweep.fold_s");
+  static obs::Gauge& lane_wait_s = obs::Registry::global().gauge("sweep.lane_wait_s");
   static obs::Histogram& block_seconds = obs::Registry::global().histogram(
       "sweep.block_seconds", {1e-3, 1e-2, 0.1, 1.0, 10.0});
 
@@ -415,40 +515,45 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
     start_case = journal->resume_point();
   }
 
-  std::vector<SweepCaseOutcome> scratch(
-      std::min(block_size, n_cases - std::min(n_cases, start_case)));
+  // Streaming in-order fold. Every lane claims the next flat case from one
+  // counter and writes its outcome into the case's ring slot; lane 0 (this
+  // thread) also folds each block in flat order as soon as its last case
+  // lands, journals it and reports progress, while the other lanes keep
+  // simulating up to 2 x team blocks ahead of the fold. The fold sees
+  // every case in the same sequence for any team size, so the digest and
+  // the journal records are those of a serial run.
+  const std::size_t team = pool.team_size();
+  CaseStream stream(start_case, n_cases, block_size, 2 * team);
   const auto run_start = std::chrono::steady_clock::now();
-  for (std::size_t block_start = start_case; block_start < n_cases;
-       block_start += block_size) {
-    const std::size_t block_n = std::min(block_size, n_cases - block_start);
-    const auto block_begin = std::chrono::steady_clock::now();
-    {
-      // Parallel fill into flat-indexed scratch slots (grain 1: one case
-      // is a whole simulation)...
-      GREENHPC_TRACE_SPAN("sweep.block.simulate");
-      pool.parallel_for_chunked(block_n, 1, [&](std::size_t i) {
-        scratch[i] = runner.run_case(block_start + i);
-      });
-    }
+  auto last_commit = run_start;
+
+  const auto simulate = [&](std::size_t flat) {
+    stream.slot(flat) = runner.run_case(flat);
+    stream.finish(flat);
+  };
+  const auto commit = [&] {
+    const std::size_t b = stream.frontier();
+    const std::size_t block_start = stream.block_start(b);
+    const std::size_t block_n = stream.block_cases(b);
     const auto fold_begin = std::chrono::steady_clock::now();
+    SweepJournal::BlockRecord rec;
     {
-      // ...then a serial fold in case order: Welford accumulation and the
-      // digest see every case in the same sequence for any thread count.
       GREENHPC_TRACE_SPAN("sweep.block.fold");
+      if (journal != nullptr) rec.cases.reserve(block_n);
       for (std::size_t i = 0; i < block_n; ++i) {
-        runner.fold(result, block_start + i, scratch[i]);
+        SweepCaseOutcome& e = stream.slot(block_start + i);
+        runner.fold(result, block_start + i, e);
+        if (journal != nullptr) rec.cases.push_back(std::move(e));
       }
     }
+    stream.advance();  // the slots are free: lanes may claim the next block
     if (journal != nullptr) {
       // WAL commit point: the record (metrics + quarantines + running
       // digest) is fsynced before the block is reported done, so a crash
       // after this line loses nothing and a crash before it loses only
-      // this block.
+      // the blocks not yet journaled — at most the in-flight window.
       GREENHPC_TRACE_SPAN("sweep.block.journal");
-      SweepJournal::BlockRecord rec;
       rec.start = block_start;
-      rec.cases.assign(scratch.begin(),
-                       scratch.begin() + static_cast<std::ptrdiff_t>(block_n));
       rec.digest_after = result.digest;
       try {
         journal->append(rec);
@@ -468,9 +573,10 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
       }
     }
     const auto block_end = std::chrono::steady_clock::now();
-    const std::chrono::duration<double> sim_d = fold_begin - block_begin;
+    const std::chrono::duration<double> sim_d = fold_begin - last_commit;
     const std::chrono::duration<double> fold_d = block_end - fold_begin;
     const std::chrono::duration<double> elapsed = block_end - run_start;
+    last_commit = block_end;
     cases_counter.add(block_n);
     simulate_s.add(sim_d.count());
     fold_s.add(fold_d.count());
@@ -480,6 +586,53 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
                       elapsed.count());
     }
     if (opts_.progress) opts_.progress(block_start + block_n, n_cases);
+  };
+  // Lane 0 never blocks on the window: it is the one that moves it. When
+  // its claim lies past the window, or nothing is left to claim, it waits
+  // for the frontier block instead and folds its way forward.
+  const auto lead = [&](double& waited_s) {
+    const auto frontier_ready = [&] { return stream.frontier_complete(); };
+    bool claiming = true;
+    while (stream.frontier() < stream.blocks()) {
+      if (stream.frontier_complete()) {
+        commit();
+        continue;
+      }
+      std::size_t flat = 0;
+      if (claiming && stream.claim(flat)) {
+        while (!stream.in_window(flat)) {
+          if (!stream.wait(frontier_ready, waited_s)) return;
+          commit();
+        }
+        simulate(flat);
+      } else {
+        claiming = false;
+        if (!stream.wait(frontier_ready, waited_s)) return;
+      }
+    }
+  };
+  const auto follow = [&](double& waited_s) {
+    std::size_t flat = 0;
+    while (stream.claim(flat)) {
+      if (!stream.wait([&] { return stream.in_window(flat); }, waited_s)) return;
+      simulate(flat);
+    }
+  };
+  if (stream.blocks() > 0) {
+    pool.run_team([&](std::size_t lane) {
+      double waited_s = 0.0;
+      try {
+        if (lane == 0) {
+          lead(waited_s);
+        } else {
+          follow(waited_s);
+        }
+      } catch (...) {
+        stream.stop();  // no lane may wait on a block that will never land
+        throw;
+      }
+      lane_wait_s.add(waited_s);
+    });
   }
   return result;
 }

@@ -6,9 +6,11 @@
 // and cluster shapes, the way the Top500-scale carbon studies sweep their
 // estimates. SweepEngine turns that into one call: a cartesian grid of
 // scenario axes × policies × seed replicas is expanded into cases, fanned
-// out over the thread pool in fixed-size blocks, and streamed through
+// out over a team of pool threads, and streamed block by block through
 // Welford mean/stddev/CI aggregation per grid cell, so memory stays
-// bounded by the block size and the cell table — never by the case count.
+// bounded by a window of blocks and the cell table — never by the case
+// count. The fold runs on the calling thread while later cases are still
+// simulating; no thread waits for a block barrier.
 //
 // Determinism contract: per-case seeds are splitmix64-derived from the
 // base seed (replica r gets the r-th draw of the stream, independent of
@@ -238,14 +240,18 @@ class SweepEngine {
   struct Options {
     /// Pool to fan out over; null = the process-global pool.
     util::ThreadPool* pool = nullptr;
-    /// Cases simulated per streaming block (bounds scratch memory; the
-    /// serial fold runs after each block).
+    /// Cases per block: the unit of the in-order fold, of journal records
+    /// and of progress reports. Lanes simulate at most 2 x (pool workers
+    /// + 1) blocks ahead of the fold, which bounds scratch memory to that
+    /// many blocks of outcomes.
     std::size_t block = 256;
     /// Optional progress callback, invoked with (cases done, cases total)
-    /// after each block. Serialization contract: the callback always runs
-    /// on the thread that called run(), between blocks, never while the
-    /// pool is executing the block — so it needs no internal locking.
-    /// Asserted by SweepTest.ProgressCallbackIsSerializedUnderThreadPool.
+    /// once per block, in increasing order, right after the block is
+    /// folded and journaled. Serialization contract: the callback always
+    /// runs on the thread that called run() and never concurrently with
+    /// itself, so it needs no internal locking — but other pool threads
+    /// may be simulating later blocks while it runs. Asserted by
+    /// SweepEngine.ProgressCallbackIsSerializedUnderThreadPool.
     std::function<void(std::size_t, std::size_t)> progress;
     /// Optional write-ahead journal (crash-safe sweeps). When set, run()
     /// first folds the blocks the journal proves complete (bit-identical

@@ -8,7 +8,8 @@
 // case's metric bit patterns (or its quarantine record), and the running
 // FNV digest after folding the block. Each record is flushed and fsynced
 // before the engine reports the block done, so the journal is always a
-// prefix of the truth — a crash loses at most the in-flight block.
+// prefix of the truth — a crash loses at most the in-flight window: the
+// blocks the engine's lanes simulate ahead of the fold (2 x team blocks).
 //
 // On resume, SweepEngine re-folds the recorded metrics instead of
 // re-simulating (cheap: microseconds per block) and continues from the

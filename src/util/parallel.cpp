@@ -54,32 +54,37 @@ std::size_t ThreadPool::default_grain(std::size_t n) const {
   return std::max<std::size_t>(1, n / (8 * team));
 }
 
+void ThreadPool::run_chunk(Task& task, std::size_t c) {
+  static obs::Counter& chunks_done = obs::Registry::global().counter("pool.chunks");
+  const std::size_t begin = c * task.grain;
+  const std::size_t end = std::min(task.n, begin + task.grain);
+  GREENHPC_TRACE_SPAN("pool.chunk");
+  try {
+    task.invoke(task.ctx, begin, end);
+  } catch (...) {
+    {
+      std::lock_guard lock(task.error_mutex);
+      if (!task.error) task.error = std::current_exception();
+    }
+    task.failed.store(true, std::memory_order_release);
+  }
+  chunks_done.add();
+}
+
 void ThreadPool::run_chunks(Task& task) {
   // Dynamic self-scheduling over a shared atomic chunk counter; the body
   // runs direct (non-erased) within a chunk, so the fetch_add and the one
   // indirect call are amortized over `grain` iterations.
-  static obs::Counter& chunks_done = obs::Registry::global().counter("pool.chunks");
   for (;;) {
     // Cancel-on-error: once any chunk has thrown, the remaining chunks are
     // abandoned instead of burning the rest of the grid on a doomed task.
-    // The acquire pairs with the release store below so the caller's
-    // rethrow happens-after the failing chunk's writes.
+    // The acquire pairs with the release store in run_chunk so the
+    // caller's rethrow happens-after the failing chunk's writes.
     if (task.failed.load(std::memory_order_acquire)) break;
     const std::size_t c = task.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (c >= task.chunks) break;
-    const std::size_t begin = c * task.grain;
-    const std::size_t end = std::min(task.n, begin + task.grain);
-    GREENHPC_TRACE_SPAN("pool.chunk");
-    try {
-      task.invoke(task.ctx, begin, end);
-    } catch (...) {
-      {
-        std::lock_guard lock(task.error_mutex);
-        if (!task.error) task.error = std::current_exception();
-      }
-      task.failed.store(true, std::memory_order_release);
-    }
-    chunks_done.add();
+    run_chunk(task, c);
+    if (task.team) break;
   }
 }
 
@@ -117,6 +122,8 @@ void ThreadPool::run_task(Task& task) {
     ~Reset() { inside_parallel_region = false; }
   } reset;
   task.remaining.store(workers_.size(), std::memory_order_relaxed);
+  // Lane 0 of a team task belongs to the caller; workers claim from 1.
+  if (task.team) task.next_chunk.store(1, std::memory_order_relaxed);
   {
     std::lock_guard lock(mutex_);
     current_ = &task;
@@ -126,7 +133,11 @@ void ThreadPool::run_task(Task& task) {
   // The calling thread is part of the team: it chews chunks alongside the
   // workers instead of blocking, so a T-worker pool runs T+1 executors and
   // small fan-outs finish before some workers even wake.
-  run_chunks(task);
+  if (task.team) {
+    run_chunk(task, 0);
+  } else {
+    run_chunks(task);
+  }
   {
     std::unique_lock lock(mutex_);
     done_cv_.wait(lock, [&] { return task.remaining.load(std::memory_order_acquire) == 0; });

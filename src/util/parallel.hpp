@@ -14,7 +14,10 @@
 // single-worker pool, a single chunk, or a nested call from inside a
 // parallel region. The fallback is what keeps small sweeps (the measured
 // serial/parallel crossover in bench_perf) from paying wakeup latency for
-// nothing: below it, "parallel" IS the serial loop.
+// nothing: below it, "parallel" IS the serial loop. run_team is the
+// other shape: one long-running body per team member, lane 0 on the
+// caller, for work where the caller holds a role of its own (the sweep
+// engine's in-order fold).
 //
 // The chunked entry points are templates, so the body is invoked directly
 // within a chunk — the type-erasure cost (one indirect call) is paid per
@@ -86,7 +89,7 @@ class ThreadPool {
     if (n == 0) return;
     if (grain == 0) grain = default_grain(n);
     const std::size_t chunks = (n + grain - 1) / grain;
-    if (chunks <= 1 || workers_.size() <= 1 || in_parallel_region()) {
+    if (chunks <= 1 || team_size() == 1) {
       detail::note_pool_serial_fallback();
       for (std::size_t i = 0; i < n; ++i) body(i);
       return;
@@ -102,6 +105,43 @@ class ThreadPool {
     task.grain = grain;
     task.chunks = chunks;
     run_task(task);
+  }
+
+  /// Team entry point: body(lane) runs once for each lane in
+  /// [0, team_size()), all lanes concurrently. Lane 0 always runs on the
+  /// calling thread and lane k > 0 on a worker of its own, so a body can
+  /// give lane 0 work that must stay on the caller (parallel_for_chunked
+  /// cannot promise the caller any chunk). A nested call or a pool with at
+  /// most one worker runs lane 0 alone, so a body must be able to finish
+  /// the job on lane 0 by itself. Lanes that wait on each other must also
+  /// watch for a failed lane themselves: the pool cannot interrupt a
+  /// running body. Same exception contract as parallel_for: the first
+  /// exception is rethrown on the calling thread once every started lane
+  /// has returned, lanes not yet started are skipped, and the pool stays
+  /// usable.
+  template <typename Body>
+  void run_team(Body&& body) {
+    if (team_size() == 1) {
+      detail::note_pool_serial_fallback();
+      body(std::size_t{0});
+      return;
+    }
+    using Fn = std::remove_reference_t<Body>;
+    Task task;
+    task.invoke = [](void* ctx, std::size_t lane, std::size_t) {
+      (*static_cast<Fn*>(ctx))(lane);
+    };
+    task.ctx = const_cast<void*>(static_cast<const void*>(&body));
+    task.n = team_size();
+    task.chunks = task.n;
+    task.team = true;
+    run_task(task);
+  }
+
+  /// Lanes run_team() would run from the current thread: workers + 1, or 1
+  /// for a nested call or a pool with at most one worker.
+  [[nodiscard]] std::size_t team_size() const {
+    return workers_.size() <= 1 || in_parallel_region() ? 1 : workers_.size() + 1;
   }
 
   /// Heuristic chunk size for n iterations on this pool: aims at ~8 chunks
@@ -146,6 +186,10 @@ class ThreadPool {
     std::atomic<bool> failed{false};
     std::exception_ptr error;
     std::mutex error_mutex;
+    /// run_team: chunk c is lane c. The caller runs chunk 0 and each
+    /// worker claims at most one chunk, so every lane has a thread of its
+    /// own.
+    bool team = false;
   };
 
   /// Post the task to the workers, help run it from the calling thread,
@@ -153,6 +197,7 @@ class ThreadPool {
   void run_task(Task& task);
   void worker_loop();
   static void run_chunks(Task& task);
+  static void run_chunk(Task& task, std::size_t c);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;

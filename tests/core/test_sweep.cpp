@@ -5,14 +5,21 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/sweep_journal.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
+#include "util/fault_injector.hpp"
 #include "util/parallel.hpp"
 
 namespace greenhpc::core {
@@ -104,27 +111,105 @@ TEST(SweepEngine, CellTableIsCellMajorWithCoordinates) {
   }
 }
 
+/// Fresh run directory per test; a stale journal is removed.
+std::string run_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "greenhpc_stream_" + name;
+  std::remove((dir + "/" + SweepJournal::kFileName).c_str());
+  return dir;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void expect_same_stats(const util::RunningStats& a, const util::RunningStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.mean(), b.mean()) << what;
+  EXPECT_EQ(a.variance(), b.variance()) << what;
+  EXPECT_EQ(a.sum(), b.sum()) << what;
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+}
+
+/// Digest, every cell's Welford accumulators and the quarantine list are
+/// bit-identical.
+void expect_identical(const SweepResult& a, const SweepResult& b, const std::string& what) {
+  EXPECT_EQ(a.digest, b.digest) << what;
+  ASSERT_EQ(a.cells.size(), b.cells.size()) << what;
+  for (std::size_t c = 0; c < a.cells.size(); ++c) {
+    const SweepCellStats& x = a.cells[c];
+    const SweepCellStats& y = b.cells[c];
+    const std::string cell = what + " cell " + std::to_string(c);
+    expect_same_stats(x.carbon_t, y.carbon_t, cell + " carbon");
+    expect_same_stats(x.energy_mwh, y.energy_mwh, cell + " energy");
+    expect_same_stats(x.wait_h, y.wait_h, cell + " wait");
+    expect_same_stats(x.slowdown, y.slowdown, cell + " slowdown");
+    expect_same_stats(x.utilization, y.utilization, cell + " utilization");
+    expect_same_stats(x.green_share, y.green_share, cell + " green");
+    expect_same_stats(x.completed, y.completed, cell + " completed");
+  }
+  ASSERT_EQ(a.failed_cases.size(), b.failed_cases.size()) << what;
+  for (std::size_t i = 0; i < a.failed_cases.size(); ++i) {
+    EXPECT_EQ(a.failed_cases[i].flat, b.failed_cases[i].flat) << what;
+    EXPECT_EQ(a.failed_cases[i].where, b.failed_cases[i].where) << what;
+    EXPECT_EQ(a.failed_cases[i].error, b.failed_cases[i].error) << what;
+    EXPECT_EQ(a.failed_cases[i].attempts, b.failed_cases[i].attempts) << what;
+  }
+}
+
+SweepResult run_sweep(const SweepGrid& grid, util::ThreadPool& pool, std::size_t block,
+                      SweepJournal* journal = nullptr) {
+  SweepEngine::Options opts;
+  opts.pool = &pool;
+  opts.block = block;
+  opts.journal = journal;
+  return SweepEngine(std::move(opts)).run(grid);
+}
+
+/// Disarms the process-wide fault injector when the test ends, pass or fail.
+struct ArmedFaults {
+  explicit ArmedFaults(std::vector<util::FaultSpec> specs) {
+    util::FaultInjector::global().arm(std::move(specs));
+  }
+  ~ArmedFaults() { util::FaultInjector::global().disarm(); }
+  ArmedFaults(const ArmedFaults&) = delete;
+  ArmedFaults& operator=(const ArmedFaults&) = delete;
+};
+
+struct Interrupt : std::runtime_error {
+  Interrupt() : std::runtime_error("interrupted") {}
+};
+
 TEST(SweepEngine, DigestInvariantAcrossThreadCountsAndBlockSizes) {
   // The determinism contract: bit-identical aggregates and digest for any
-  // fan-out shape. Exercised across pools of 1 / 2 / 8 workers (the first
-  // engages the serial fallback) and a block size smaller than the grid.
+  // fan-out shape. Blocks of 1, 3 and 7 over 24 cases (7 leaves a short
+  // tail block of 3), one block covering the grid exactly and one larger
+  // than it; pools of 1 (lane 0 alone), 2, 3 and 8 workers, and a nested
+  // call from inside a parallel region (lane 0 alone on a pool that has
+  // workers).
   const SweepGrid grid = small_grid();
-  std::vector<SweepResult> results;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    util::ThreadPool pool(threads);
-    SweepEngine::Options opts;
-    opts.pool = &pool;
-    opts.block = 5;  // forces several partial blocks over the 24 cases
-    results.push_back(SweepEngine(std::move(opts)).run(grid));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].digest, results[0].digest) << "pool " << i;
-    ASSERT_EQ(results[i].cells.size(), results[0].cells.size());
-    for (std::size_t c = 0; c < results[i].cells.size(); ++c) {
-      EXPECT_EQ(results[i].cells[c].carbon_t.mean(), results[0].cells[c].carbon_t.mean());
-      EXPECT_EQ(results[i].cells[c].wait_h.sample_stddev(),
-                results[0].cells[c].wait_h.sample_stddev());
+  util::ThreadPool serial(1);
+  for (const std::size_t block : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                                  std::size_t{24}, std::size_t{100}}) {
+    const SweepResult reference = run_sweep(grid, serial, block);
+    const std::string shape = "block " + std::to_string(block);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+      util::ThreadPool pool(threads);
+      expect_identical(reference, run_sweep(grid, pool, block),
+                       shape + ", pool " + std::to_string(threads));
     }
+    util::ThreadPool outer(2);
+    util::ThreadPool inner(8);
+    std::vector<SweepResult> nested(2);
+    outer.parallel_for_chunked(nested.size(), 1, [&](std::size_t i) {
+      EXPECT_EQ(inner.team_size(), 1u);
+      nested[i] = run_sweep(grid, inner, block);
+    });
+    for (const SweepResult& r : nested) expect_identical(reference, r, shape + ", nested");
   }
 }
 
@@ -145,9 +230,10 @@ TEST(SweepEngine, ProgressReportsMonotonicallyToTotal) {
 
 TEST(SweepEngine, ProgressCallbackIsSerializedUnderThreadPool) {
   // The documented contract: progress always runs on the run() thread,
-  // between blocks, never concurrently with itself or the block fan-out.
-  // Detect any overlap with an atomic in-callback guard; detect any
-  // off-thread invocation by comparing thread ids.
+  // once per block in increasing order, never concurrently with itself
+  // (other lanes may be simulating later blocks meanwhile). Detect any
+  // overlap with an atomic in-callback guard; detect any off-thread
+  // invocation by comparing thread ids.
   SweepGrid grid = small_grid();
   util::ThreadPool pool(8);
   SweepEngine::Options opts;
@@ -173,6 +259,168 @@ TEST(SweepEngine, ProgressCallbackIsSerializedUnderThreadPool) {
   EXPECT_FALSE(overlapped.load()) << "progress callback ran concurrently";
   EXPECT_FALSE(wrong_thread.load()) << "progress callback left the run() thread";
   EXPECT_EQ(calls.load(), 8);
+}
+
+// ---------------------------------------------------------------------------
+// Streaming in-order fold: lanes simulate ahead of the fold, the run()
+// thread folds, journals and reports each block as soon as it lands.
+
+TEST(SweepStreaming, LanesStayWithinTheWindowWhileTheFoldStalls) {
+  // A slow progress callback holds lane 0, so the fold frontier stalls
+  // while the other lanes keep claiming; none may start a case more than
+  // 2 x team blocks past the fold. Started cases are counted in the
+  // scheduler factory, which every case calls once.
+  SweepGrid grid = small_grid();
+  util::ThreadPool serial(1);
+  const SweepResult reference = run_sweep(grid, serial, 1);
+  util::ThreadPool pool(3);
+  const std::size_t window = 2 * pool.team_size();
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> folded{0};
+  std::atomic<bool> overran{false};
+  for (SweepPolicy& p : grid.policies) {
+    p.scheduler = [&, inner = p.scheduler] {
+      const std::size_t n = started.fetch_add(1) + 1;
+      // The frontier runs at most one block ahead of the progress count.
+      if (n > folded.load() + 1 + window) overran.store(true);
+      return inner();
+    };
+  }
+  SweepEngine::Options opts;
+  opts.pool = &pool;
+  opts.block = 1;
+  opts.progress = [&](std::size_t done, std::size_t) {
+    folded.store(done);
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  };
+  const SweepResult result = SweepEngine(std::move(opts)).run(grid);
+  EXPECT_FALSE(overran.load()) << "a lane ran past the window";
+  expect_identical(reference, result, "stalled fold");
+}
+
+TEST(SweepStreaming, JournalBytesMatchSingleWorkerPool) {
+  const SweepGrid grid = small_grid();
+  const auto journal_bytes = [&](std::size_t threads) {
+    const std::string dir = run_dir("bytes_" + std::to_string(threads));
+    SweepJournal journal =
+        SweepJournal::create(dir, grid.config_digest(), grid.case_count(), 5);
+    util::ThreadPool pool(threads);
+    (void)run_sweep(grid, pool, 5, &journal);
+    EXPECT_EQ(journal.resume_point(), grid.case_count());
+    return read_file(journal.path());
+  };
+  const std::string reference = journal_bytes(1);
+  ASSERT_FALSE(reference.empty());
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    EXPECT_EQ(journal_bytes(threads), reference) << "pool " << threads;
+  }
+}
+
+TEST(SweepStreaming, ResumeFromMidGridReachesUninterruptedDigest) {
+  const SweepGrid grid = small_grid();
+  util::ThreadPool pool(8);
+  const SweepResult reference = run_sweep(grid, pool, 4);
+  const std::string dir = run_dir("resume_mid_grid");
+  {
+    SweepJournal journal =
+        SweepJournal::create(dir, grid.config_digest(), grid.case_count(), 4);
+    SweepEngine::Options opts;
+    opts.pool = &pool;
+    opts.journal = &journal;
+    std::size_t blocks_done = 0;
+    opts.progress = [&](std::size_t, std::size_t) {
+      if (++blocks_done == 3) throw Interrupt();
+    };
+    EXPECT_THROW((void)SweepEngine(std::move(opts)).run(grid), Interrupt);
+  }
+  SweepJournal resumed = SweepJournal::resume(dir, grid.config_digest(), grid.case_count());
+  ASSERT_EQ(resumed.resume_point(), 12u);  // three blocks of 4 were committed
+  util::ThreadPool other(3);
+  const SweepResult result = run_sweep(grid, other, 4, &resumed);
+  expect_identical(reference, result, "resumed");
+  EXPECT_EQ(result.replayed_cases, 12u);
+}
+
+TEST(SweepStreaming, ThrowingProgressPropagatesAndPoolStaysUsable) {
+  const SweepGrid grid = small_grid();
+  util::ThreadPool pool(3);
+  const SweepResult reference = run_sweep(grid, pool, 2);
+  SweepEngine::Options opts;
+  opts.pool = &pool;
+  opts.block = 2;
+  std::size_t calls = 0;
+  opts.progress = [&](std::size_t, std::size_t) {
+    if (++calls == 2) throw Interrupt();
+  };
+  EXPECT_THROW((void)SweepEngine(std::move(opts)).run(grid), Interrupt);
+  EXPECT_EQ(calls, 2u);
+  expect_identical(reference, run_sweep(grid, pool, 2), "after the failed run");
+}
+
+TEST(SweepStreaming, NonIoJournalErrorPropagatesAndPoolStaysUsable) {
+  // A progress callback that writes a foreign record into the journal
+  // makes the engine's next append out of order: a LogicError, not an I/O
+  // failure, so it must abort the run instead of degrading.
+  const SweepGrid grid = small_grid();
+  util::ThreadPool pool(3);
+  const SweepResult reference = run_sweep(grid, pool, 4);
+  const std::string dir = run_dir("non_io_error");
+  SweepJournal journal = SweepJournal::create(dir, grid.config_digest(), grid.case_count(), 4);
+  SweepEngine::Options opts;
+  opts.pool = &pool;
+  opts.journal = &journal;
+  bool injected = false;
+  opts.progress = [&](std::size_t, std::size_t) {
+    if (injected) return;
+    injected = true;
+    SweepBlock foreign;
+    foreign.start = journal.resume_point();
+    foreign.cases.resize(4);
+    journal.append(foreign);
+  };
+  EXPECT_THROW((void)SweepEngine(std::move(opts)).run(grid), LogicError);
+  expect_identical(reference, run_sweep(grid, pool, 4), "after the failed run");
+}
+
+TEST(SweepStreaming, JournalFaultMidStreamDegradesToExactDigest) {
+  const SweepGrid grid = small_grid();
+  util::ThreadPool pool(3);
+  const SweepResult reference = run_sweep(grid, pool, 3);
+  const std::string dir = run_dir("append_fault");
+  SweepJournal journal = SweepJournal::create(dir, grid.config_digest(), grid.case_count(), 3);
+  SweepResult result;
+  {
+    // The third append (block 2) fails like ENOSPC; the run must carry on
+    // without the journal and fold every later block all the same.
+    const ArmedFaults faults({{"journal.append", 2, 1, util::FaultAction::Fail, 0}});
+    result = run_sweep(grid, pool, 3, &journal);
+  }
+  expect_identical(reference, result, "degraded");
+  EXPECT_EQ(journal.resume_point(), 6u);  // only blocks 0 and 1 are durable
+}
+
+TEST(SweepStreaming, PoisonCaseIsQuarantinedForEveryTeam) {
+  const SweepGrid grid = small_grid();
+  const ArmedFaults faults({{"case.poison", 5, 1, util::FaultAction::Fail, 0}});
+  std::vector<SweepResult> results;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    util::ThreadPool pool(threads);
+    SweepEngine::Options opts;
+    opts.pool = &pool;
+    opts.block = 4;
+    opts.case_retries = 1;
+    opts.retry_backoff_base_s = 0.0;
+    results.push_back(SweepEngine(std::move(opts)).run(grid));
+  }
+  ASSERT_EQ(results[0].failed_cases.size(), 1u);
+  const SweepFailedCase& failed = results[0].failed_cases[0];
+  EXPECT_EQ(failed.flat, 5u);
+  EXPECT_EQ(failed.attempts, 2);
+  EXPECT_EQ(failed.error, "injected poison case 5");
+  EXPECT_EQ(failed.where, "region=DE kind=avg nodes=16 jobs=12 policy=easy replica=2");
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    expect_identical(results[0], results[i], "pool " + std::to_string(i));
+  }
 }
 
 TEST(SweepCellStats, Ci95MatchesNormalApproximation) {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <ostream>
 
 #include "carbon/forecast.hpp"
 #include "carbon/grid_model.hpp"
@@ -78,6 +82,24 @@ struct SchedCase {
   Policy policy;
   std::uint64_t seed;
 };
+
+// Without a printer gtest names each test after a dump of the parameter's
+// bytes, and SchedCase's four padding bytes hold whatever the stack held,
+// so the names changed from build to build. Print the same dump with the
+// padding zeroed: the names keep their form and stay fixed.
+void PrintTo(const SchedCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(SchedCase)] = {};
+  std::memcpy(bytes + offsetof(SchedCase, policy), &c.policy, sizeof(c.policy));
+  std::memcpy(bytes + offsetof(SchedCase, seed), &c.seed, sizeof(c.seed));
+  *os << sizeof(SchedCase) << "-byte object <";
+  for (std::size_t i = 0; i < sizeof(bytes); ++i) {
+    if (i > 0) *os << (i % 2 == 0 ? ' ' : '-');
+    char hex[3];
+    std::snprintf(hex, sizeof(hex), "%02X", static_cast<unsigned>(bytes[i]));
+    *os << hex;
+  }
+  *os << '>';
+}
 
 class SchedulerProperties : public ::testing::TestWithParam<SchedCase> {
  protected:

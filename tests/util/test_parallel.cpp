@@ -4,11 +4,14 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace greenhpc::util {
@@ -289,6 +292,76 @@ TEST(ThreadPoolChunked, PreallocatedSlotWritesAreThreadCountInvariant) {
   for (std::size_t i = 0; i < kSlots; ++i) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(one[i]), std::bit_cast<std::uint64_t>(many[i]))
         << "slot " << i;
+  }
+}
+
+TEST(ThreadPoolTeam, LaneZeroRunsOnCallerAndEveryLaneRunsOnce) {
+  ThreadPool pool(3);
+  ASSERT_EQ(pool.team_size(), 4u);
+  std::vector<std::atomic<int>> runs(pool.team_size());
+  std::vector<std::thread::id> threads(pool.team_size());
+  std::atomic<int> arrived{0};
+  pool.run_team([&](std::size_t lane) {
+    runs[lane].fetch_add(1);
+    threads[lane] = std::this_thread::get_id();
+    EXPECT_TRUE(ThreadPool::in_parallel_region());
+    // Every lane waits (boundedly) for the whole team, which only arrives
+    // if the lanes really run concurrently, one per thread.
+    arrived.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(arrived.load(), 4) << "lane " << lane << " ran without its team";
+  });
+  EXPECT_EQ(threads[0], std::this_thread::get_id());
+  for (std::size_t lane = 0; lane < runs.size(); ++lane) {
+    EXPECT_EQ(runs[lane].load(), 1) << "lane " << lane;
+  }
+  EXPECT_EQ(std::set<std::thread::id>(threads.begin(), threads.end()).size(), 4u);
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+}
+
+TEST(ThreadPoolTeam, NestedCallAndSingleWorkerPoolRunLaneZeroOnly) {
+  ThreadPool single(1);
+  EXPECT_EQ(single.team_size(), 1u);
+  std::vector<std::size_t> lanes;
+  const std::thread::id caller = std::this_thread::get_id();
+  single.run_team([&](std::size_t lane) {
+    lanes.push_back(lane);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+  EXPECT_EQ(lanes, std::vector<std::size_t>{0});
+
+  ThreadPool outer(2);
+  ThreadPool inner(4);
+  std::atomic<int> inner_lanes{0};
+  outer.parallel_for_chunked(4, 1, [&](std::size_t) {
+    EXPECT_EQ(inner.team_size(), 1u);
+    const std::thread::id here = std::this_thread::get_id();
+    inner.run_team([&](std::size_t lane) {
+      EXPECT_EQ(lane, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), here);
+      inner_lanes.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner_lanes.load(), 4);
+}
+
+TEST(ThreadPoolTeam, LaneExceptionIsRethrownOnCallerAndPoolStaysUsable) {
+  ThreadPool pool(3);
+  for (const std::size_t thrower : {std::size_t{2}, std::size_t{0}}) {
+    EXPECT_THROW(pool.run_team([&](std::size_t lane) {
+                   if (lane == thrower) throw std::runtime_error("lane failed");
+                 }),
+                 std::runtime_error)
+        << "thrower " << thrower;
+    std::vector<std::atomic<int>> runs(pool.team_size());
+    pool.run_team([&](std::size_t lane) { runs[lane].fetch_add(1); });
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+    std::atomic<int> count{0};
+    pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 10);
   }
 }
 
