@@ -92,8 +92,9 @@ core::ScenarioConfig scale_config(const ScaleSpec& s) {
 // quantum) that mostly fit the machine at once: between waves the pending
 // queue is empty, so every finish is a pure node release the policies
 // attest over and the span kernel resolves in place. This is the regime
-// the in-span completion path targets; it is timed with the path on and
-// off (Config::span_completions) and the results must be bit-identical.
+// the in-span completion path targets; it is timed on the fast engine and
+// on the tick-exact reference loop (Config::reference_mode), and the
+// results must be bit-identical.
 
 core::ScenarioConfig dense_config() {
   auto cfg = bench::reference_scenario();
@@ -111,7 +112,7 @@ core::ScenarioConfig dense_config() {
 
 struct DenseSample {
   std::string scheduler;
-  bool span_completions = true;
+  const char* engine = "in-span";  ///< "in-span" or "reference"
   std::size_t ticks = 0;
   double wall_s = 0.0;
   std::uint64_t digest = 0;
@@ -119,7 +120,7 @@ struct DenseSample {
 };
 
 /// FNV-1a over the headline totals and the per-job finish/energy series:
-/// any divergence between the in-span and fenced engines shows up here.
+/// any divergence between the in-span and reference engines shows up here.
 std::uint64_t result_digest(const hpcsim::SimulationResult& r) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](double v) {
@@ -141,14 +142,14 @@ std::uint64_t result_digest(const hpcsim::SimulationResult& r) {
 }
 
 DenseSample time_dense(const core::ScenarioRunner& runner, const char* sched_name,
-                       bool span_completions) {
+                       bool reference_mode) {
   hpcsim::Simulator::Config sim_cfg;
   sim_cfg.cluster = runner.config().cluster;
   sim_cfg.carbon_intensity = runner.trace();
-  sim_cfg.span_completions = span_completions;
+  sim_cfg.reference_mode = reference_mode;
   DenseSample out;
   out.scheduler = sched_name;
-  out.span_completions = span_completions;
+  out.engine = reference_mode ? "reference" : "in-span";
   out.wall_s = 1e300;
   for (int rep = 0; rep < 5; ++rep) {
     hpcsim::Simulator sim(sim_cfg, runner.jobs());
@@ -372,28 +373,28 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", tt.str("Simulator hot-loop throughput").c_str());
 
-  // --- dense scale: in-span completions vs PR 7 fencing ---
+  // --- dense scale: in-span completions vs the reference loop ---
   const core::ScenarioConfig dense_cfg = dense_config();
   core::ScenarioRunner dense_runner(dense_cfg);
-  util::Table dt({"scheduler", "completions", "ticks", "wall[ms]", "ticks/s",
+  util::Table dt({"scheduler", "engine", "ticks", "wall[ms]", "ticks/s",
                   "speedup"});
   std::vector<DenseSample> dense_samples;
   bool dense_identical = true;
   double dense_min_speedup = 1e300;
   for (const char* sched_name : {"fcfs", "easy"}) {
-    const DenseSample fenced = time_dense(dense_runner, sched_name, false);
-    const DenseSample inspan = time_dense(dense_runner, sched_name, true);
-    dense_identical = dense_identical && fenced.digest == inspan.digest;
-    const double speedup = fenced.wall_s / inspan.wall_s;
+    const DenseSample reference = time_dense(dense_runner, sched_name, true);
+    const DenseSample inspan = time_dense(dense_runner, sched_name, false);
+    dense_identical = dense_identical && reference.digest == inspan.digest;
+    const double speedup = reference.wall_s / inspan.wall_s;
     dense_min_speedup = std::min(dense_min_speedup, speedup);
-    dt.add_row({sched_name, "fenced", std::to_string(fenced.ticks),
-                util::Table::fmt(1e3 * fenced.wall_s, 1),
-                util::Table::fmt(fenced.ticks_per_s(), 0), "-"});
-    dt.add_row({sched_name, "in-span", std::to_string(inspan.ticks),
+    dt.add_row({sched_name, reference.engine, std::to_string(reference.ticks),
+                util::Table::fmt(1e3 * reference.wall_s, 1),
+                util::Table::fmt(reference.ticks_per_s(), 0), "-"});
+    dt.add_row({sched_name, inspan.engine, std::to_string(inspan.ticks),
                 util::Table::fmt(1e3 * inspan.wall_s, 1),
                 util::Table::fmt(inspan.ticks_per_s(), 0),
                 util::Table::fmt(speedup, 2) + "x"});
-    dense_samples.push_back(fenced);
+    dense_samples.push_back(reference);
     dense_samples.push_back(inspan);
   }
   std::printf("%s\n",
@@ -530,9 +531,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < dense_samples.size(); ++i) {
     const auto& s = dense_samples[i];
     std::fprintf(f,
-                 "    {\"scheduler\": \"%s\", \"span_completions\": %s, "
+                 "    {\"scheduler\": \"%s\", \"engine\": \"%s\", "
                  "\"ticks\": %zu, \"wall_s\": %.6f, \"ticks_per_s\": %.1f}%s\n",
-                 s.scheduler.c_str(), s.span_completions ? "true" : "false",
+                 s.scheduler.c_str(), s.engine,
                  s.ticks, s.wall_s, s.ticks_per_s(),
                  i + 1 < dense_samples.size() ? "," : "");
   }
@@ -577,8 +578,8 @@ int main(int argc, char** argv) {
   }
   if (!dense_identical) {
     std::fprintf(stderr,
-                 "FAIL: in-span completion engine diverged from the fenced "
-                 "engine on the dense scale\n");
+                 "FAIL: in-span completion engine diverged from the reference "
+                 "loop on the dense scale\n");
     return 1;
   }
 
@@ -627,7 +628,7 @@ int main(int argc, char** argv) {
     }
     // Dense gate: the completion-bound scale must not regress >2x against
     // the committed baseline, and the in-span path must actually win over
-    // the fenced engine (1.5x floor absorbs shared-runner noise; the
+    // the reference loop, a ratio taken within this run (2.0x floor; the
     // committed numbers show the real margin).
     double base_dense_tps = 0.0;
     if (find_json_number(text, "dense_fcfs_ticks_per_s", &base_dense_tps) &&
@@ -644,12 +645,12 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::printf("Baseline gate: dense in-span/fenced speedup %.2fx\n",
+    std::printf("Baseline gate: dense in-span/reference speedup %.2fx\n",
                 dense_min_speedup);
-    if (dense_min_speedup < 1.5) {
+    if (dense_min_speedup < 2.0) {
       std::fprintf(stderr,
-                   "FAIL: in-span completion kernel no faster than the fenced "
-                   "engine on the dense scale (%.2fx < 1.5x)\n",
+                   "FAIL: in-span completion kernel less than 2x faster than "
+                   "the reference loop on the dense scale (%.2fx < 2.0x)\n",
                    dense_min_speedup);
       return 1;
     }

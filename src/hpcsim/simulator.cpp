@@ -475,129 +475,138 @@ void Simulator::observe_intensity() {
   staleness_ = now_ - last_fresh_;
 }
 
-void Simulator::integrate_tick() {
-  const double tick_s = cfg_.cluster.tick.seconds();
+// The per-tick step shared by integrate_tick, the span kernel and the idle
+// fast-forward. The per-job helpers run in the inner loops of both
+// engines and are forced inline there.
+Simulator::PowerCap Simulator::power_cap() const {
   const double idle_w = cfg_.cluster.node_idle.watts();
-
-  // Uniform cap on the busy (job) share when over budget.
+  const double budget_w = budget_now_.watts();
   double busy_full_w = 0.0;
   double baseline_w = idle_w * static_cast<double>(free_nodes_);
-  const std::size_t nrun = running_slots_.size();
-  for (std::size_t j = 0; j < nrun; ++j) {
-    const std::size_t i = running_slots_[j];
+  for (const std::size_t i : running_slots_) {
     const int busy = busy_nodes_of(i);
     const int extra = core_.alloc_nodes[i] - busy;
     busy_full_w += static_cast<double>(busy) * core_.eff_power_w[i];
     baseline_w += static_cast<double>(extra) * idle_w;
   }
-  double cap = 1.0;
-  if (busy_full_w > 0.0 && baseline_w + busy_full_w > budget_now_.watts()) {
-    cap = (budget_now_.watts() - baseline_w) / busy_full_w;
-    if (cap < cfg_.cluster.min_cap_fraction) {
-      cap = cfg_.cluster.min_cap_fraction;
-      ++result_.budget_violations;
+  PowerCap pc;
+  pc.demand_w = baseline_w + busy_full_w;
+  if (busy_full_w > 0.0 && pc.demand_w > budget_w) {
+    pc.cap = (budget_w - baseline_w) / busy_full_w;
+    if (pc.cap < cfg_.cluster.min_cap_fraction) {
+      pc.cap = cfg_.cluster.min_cap_fraction;
+      pc.violation = true;
     }
-    cap = std::min(cap, 1.0);
-  } else if (busy_full_w == 0.0 && baseline_w > budget_now_.watts()) {
-    ++result_.budget_violations;  // idle floor alone exceeds the budget
+    pc.cap = std::min(pc.cap, 1.0);
+  } else if (busy_full_w == 0.0 && baseline_w > budget_w) {
+    pc.violation = true;  // idle floor alone exceeds the budget
   }
-  last_cap_ = cap;
+  return pc;
+}
 
-  // Integrate each running job; handle mid-tick completion analytically.
-  double tick_energy_j = 0.0;
-  double busy_nodes_total = 0.0;
-  bool any_finished = false;
-  for (std::size_t j = 0; j < nrun; ++j) {
-    const std::size_t i = running_slots_[j];
-    JobSlot& s = slots_[i];
-    const int busy = busy_nodes_of(i);
-    const int extra = core_.alloc_nodes[i] - busy;
-    const double speed = cap_speed(i, cap) * scale_factor(i);
-    const double rate = speed / core_.runtime_s[i];  // progress per second
-    const double draw_w = static_cast<double>(busy) * core_.eff_power_w[i] * cap +
-                          static_cast<double>(extra) * idle_w;
-    double dt = tick_s;
-    if (rate > 0.0 && core_.progress[i] + rate * tick_s >= 1.0) {
-      dt = (1.0 - core_.progress[i]) / rate;
-      core_.progress[i] = 1.0;
-      s.info.phase = JobPhase::Done;
-      s.info.finish = now_ + seconds(dt);
-      any_finished = true;
-    } else {
-      // Walltime enforcement: the clock only runs while the job executes.
-      if (cfg_.cluster.enforce_walltime) {
-        const double remaining_wall = core_.walltime_s[i] - core_.wall_used_s[i];
-        if (remaining_wall <= tick_s) {
-          dt = std::max(0.0, remaining_wall);
-          s.info.phase = JobPhase::Done;
-          s.info.killed = true;
-          s.info.finish = now_ + seconds(dt);
-          any_finished = true;
-          ++result_.walltime_kills;
-          ++pending_kills_;  // batched: flushed once per span / tick
-        }
-      }
-      core_.progress[i] += rate * dt;
-    }
-    core_.wall_used_s[i] += dt;
-    const double job_energy_j = draw_w * dt;
-    core_.energy_j[i] += job_energy_j;
-    core_.carbon_g[i] += job_energy_j / 3.6e6 * ci_true_;
-    tick_energy_j += job_energy_j;
-    busy_nodes_total += static_cast<double>(core_.alloc_nodes[i]) * (dt / tick_s);
-  }
-  if (any_finished) {
-    // Single order-preserving compaction of the running list: completed
-    // slots release their nodes; survivors keep their relative order (and
-    // get their positions rewritten once), so policies observe the same
-    // queue the per-id erase produced.
-    ++epoch_;
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < running_.size(); ++r) {
-      const JobId id = running_[r];
-      const std::size_t i = running_slots_[r];
-      JobSlot& s = slots_[i];
-      if (s.info.phase == JobPhase::Done) {
-        free_nodes_ += core_.alloc_nodes[i];
-        core_.alloc_nodes[i] = 0;
-        s.queue = Queue::None;
-        s.list_pos = -1;
-        result_.makespan = std::max(result_.makespan, s.info.finish);
-        if (!s.info.killed) {
-          ++result_.completed_jobs;
-          ++pending_completions_;  // batched: flushed once per span / tick
-        }
-      } else {
-        s.list_pos = static_cast<std::int32_t>(w);
-        running_[w] = id;
-        running_slots_[w] = i;
-        ++w;
-      }
-    }
-    running_.resize(w);
-    running_slots_.resize(w);
-  }
+[[gnu::always_inline]] inline Simulator::JobDraw Simulator::job_draw(
+    std::size_t i, double cap) const {
+  const int busy = busy_nodes_of(i);
+  const int extra = core_.alloc_nodes[i] - busy;
+  const double speed = cap_speed(i, cap) * scale_factor(i);
+  return {speed / core_.runtime_s[i],
+          static_cast<double>(busy) * core_.eff_power_w[i] * cap +
+              static_cast<double>(extra) * cfg_.cluster.node_idle.watts()};
+}
 
+[[gnu::always_inline]] inline Simulator::TickRates Simulator::tick_rates(
+    std::size_t i, double cap) const {
+  const double tick_s = cfg_.cluster.tick.seconds();
+  const JobDraw d = job_draw(i, cap);
+  const double ej = d.draw_w * tick_s;
+  return {d.rate * tick_s, ej, ej / 3.6e6};
+}
+
+[[gnu::always_inline]] inline Simulator::StepOut Simulator::step_job(
+    std::size_t i, double cap, const TickRates& r, JobAcc& a, double ci) {
+  const double tick_s = cfg_.cluster.tick.seconds();
+  const double alloc = static_cast<double>(core_.alloc_nodes[i]);
+  const bool finishes = r.rp > 0.0 && a.prog + r.rp >= 1.0;
+  // Walltime enforcement: the clock only runs while the job executes.
+  const bool killed = !finishes && cfg_.cluster.enforce_walltime &&
+                      core_.walltime_s[i] - a.wall <= tick_s;
+  if (!finishes && !killed) {
+    a.prog += r.rp;
+    a.wall += tick_s;
+    a.en += r.ej;
+    a.cb += r.dj * ci;
+    return {r.ej, alloc, false};  // alloc * (dt / tick_s) with dt == tick_s
+  }
+  // The job leaves mid-tick: integrate the partial step dt from its rate
+  // and draw (the values r was derived from).
+  const JobDraw d = job_draw(i, cap);
+  JobSlot& s = slots_[i];
+  double dt = 0.0;
+  if (finishes) {
+    dt = (1.0 - a.prog) / d.rate;
+    a.prog = 1.0;
+  } else {
+    dt = std::max(0.0, core_.walltime_s[i] - a.wall);
+    a.prog += d.rate * dt;
+    s.info.killed = true;
+    ++result_.walltime_kills;
+    ++pending_kills_;  // batched: flushed once per span / tick
+  }
+  s.info.phase = JobPhase::Done;
+  s.info.finish = now_ + seconds(dt);
+  a.wall += dt;
+  const double job_energy_j = d.draw_w * dt;
+  a.en += job_energy_j;
+  a.cb += job_energy_j / 3.6e6 * ci;
+  return {job_energy_j, alloc * (dt / tick_s), true};
+}
+
+inline void Simulator::release_job(std::size_t i) {
+  JobSlot& s = slots_[i];
+  free_nodes_ += core_.alloc_nodes[i];
+  core_.alloc_nodes[i] = 0;
+  s.queue = Queue::None;
+  s.list_pos = -1;
+  result_.makespan = std::max(result_.makespan, s.info.finish);
+  if (!s.info.killed) {
+    ++result_.completed_jobs;
+    ++pending_completions_;  // batched: flushed once per span / tick
+  }
+}
+
+inline void Simulator::keep_running(std::size_t j, std::size_t w) {
+  const std::size_t i = running_slots_[j];
+  slots_[i].list_pos = static_cast<std::int32_t>(w);
+  running_[w] = running_[j];
+  running_slots_[w] = i;
+}
+
+void Simulator::account_tick(double jobs_energy_j, double busy_nodes) {
+  const double tick_s = cfg_.cluster.tick.seconds();
   // Idle draw: nodes free for the whole tick plus freed fractions of
   // finishing jobs are approximated by end-of-tick free count.
-  const double idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
-  tick_energy_j += idle_energy_j;
+  const double idle_energy_j =
+      cfg_.cluster.node_idle.watts() * static_cast<double>(free_nodes_) * tick_s;
+  const double tick_energy_j = jobs_energy_j + idle_energy_j;
   result_.idle_energy += joules(idle_energy_j);
   result_.idle_carbon += grams_co2(idle_energy_j / 3.6e6 * ci_true_);
   result_.total_energy += joules(tick_energy_j);
   result_.total_carbon += grams_co2(tick_energy_j / 3.6e6 * ci_true_);
+  emit_tick(tick_energy_j / tick_s, busy_nodes);
+}
 
-  result_.system_power.push_back(tick_energy_j / tick_s);
+void Simulator::emit_tick(double system_power_w, double busy_nodes) {
+  result_.system_power.push_back(system_power_w);
   result_.power_budget.push_back(budget_now_.watts());
   // Accounting series records the ground truth; policies' observed/held
   // signal is exposed through intensity_history() and telemetry below.
   result_.carbon_intensity.push_back(ci_true_);
-  result_.busy_nodes.push_back(busy_nodes_total);
+  result_.busy_nodes.push_back(busy_nodes);
   if (cfg_.telemetry != nullptr) {
-    cfg_.telemetry->record("system.power", now_, tick_energy_j / tick_s);
+    cfg_.telemetry->record("system.power", now_, system_power_w);
     cfg_.telemetry->record("system.budget", now_, budget_now_.watts());
     cfg_.telemetry->record("system.ci", now_, ci_true_);
-    cfg_.telemetry->record("system.busy_nodes", now_, busy_nodes_total);
+    cfg_.telemetry->record("system.busy_nodes", now_, busy_nodes);
     if (cfg_.faults.enabled()) {
       cfg_.telemetry->record("system.nodes_down", now_,
                              static_cast<double>(nodes_down_));
@@ -607,6 +616,46 @@ void Simulator::integrate_tick() {
       cfg_.telemetry->record("system.ci_staleness", now_, staleness_.seconds());
     }
   }
+  ci_history_.push_back(ci_now_);
+}
+
+void Simulator::integrate_tick() {
+  const PowerCap pc = power_cap();
+  if (pc.violation) ++result_.budget_violations;
+  last_cap_ = pc.cap;
+
+  // Step each running job and compact the running list in the same pass:
+  // leavers release their nodes; survivors keep their relative order, so
+  // policies observe the same queue a per-id erase would produce.
+  double jobs_energy_j = 0.0;
+  double busy_nodes_total = 0.0;
+  const std::size_t nrun = running_slots_.size();
+  std::size_t w = 0;
+  for (std::size_t j = 0; j < nrun; ++j) {
+    const std::size_t i = running_slots_[j];
+    const TickRates r = tick_rates(i, pc.cap);
+    JobAcc a{core_.progress[i], core_.wall_used_s[i], core_.energy_j[i],
+             core_.carbon_g[i]};
+    const StepOut o = step_job(i, pc.cap, r, a, ci_true_);
+    core_.progress[i] = a.prog;
+    core_.wall_used_s[i] = a.wall;
+    core_.energy_j[i] = a.en;
+    core_.carbon_g[i] = a.cb;
+    jobs_energy_j += o.energy_j;
+    busy_nodes_total += o.busy_nodes;
+    if (o.done) {
+      release_job(i);
+      continue;
+    }
+    if (w != j) keep_running(j, w);
+    ++w;
+  }
+  if (w < nrun) {
+    ++epoch_;
+    running_.resize(w);
+    running_slots_.resize(w);
+  }
+  account_tick(jobs_energy_j, busy_nodes_total);
 }
 
 void Simulator::fast_forward_idle(Duration stop) {
@@ -615,45 +664,17 @@ void Simulator::fast_forward_idle(Duration stop) {
   // Preconditions (checked by the caller): no job in any phase list, no
   // pending repairs, no power policy. Until `stop` (next arrival, next
   // fault event, or max_time) every tick is a pure idle-floor tick, so
-  // this loop replays exactly the arithmetic integrate_tick performs on
-  // an empty system — same accumulation order, same per-tick series
-  // samples, same history and telemetry — while skipping the scheduler
-  // call (nothing to schedule), the arrival scan and the fault machinery.
+  // this loop performs exactly the steps integrate_tick performs on an
+  // empty system — same cap, accounting and per-tick output — while
+  // skipping the scheduler call (nothing to schedule), the arrival scan
+  // and the fault machinery.
   const Duration tick = cfg_.cluster.tick;
-  const double tick_s = tick.seconds();
-  const double idle_w = cfg_.cluster.node_idle.watts();
-  const double budget_w = budget_now_.watts();
-  const bool idle_over_budget = idle_w * static_cast<double>(free_nodes_) > budget_w;
+  const PowerCap pc = power_cap();  // empty running set: constant
   while (now_ < stop) {
     observe_intensity();
-    if (idle_over_budget) ++result_.budget_violations;
-    last_cap_ = 1.0;
-    double tick_energy_j = 0.0;
-    const double idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
-    tick_energy_j += idle_energy_j;
-    result_.idle_energy += joules(idle_energy_j);
-    result_.idle_carbon += grams_co2(idle_energy_j / 3.6e6 * ci_true_);
-    result_.total_energy += joules(tick_energy_j);
-    result_.total_carbon += grams_co2(tick_energy_j / 3.6e6 * ci_true_);
-    result_.system_power.push_back(tick_energy_j / tick_s);
-    result_.power_budget.push_back(budget_w);
-    result_.carbon_intensity.push_back(ci_true_);
-    result_.busy_nodes.push_back(0.0);
-    if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->record("system.power", now_, tick_energy_j / tick_s);
-      cfg_.telemetry->record("system.budget", now_, budget_w);
-      cfg_.telemetry->record("system.ci", now_, ci_true_);
-      cfg_.telemetry->record("system.busy_nodes", now_, 0.0);
-      if (cfg_.faults.enabled()) {
-        cfg_.telemetry->record("system.nodes_down", now_,
-                               static_cast<double>(nodes_down_));
-      }
-      if (cfg_.feed != nullptr) {
-        cfg_.telemetry->record("system.ci_observed", now_, ci_now_);
-        cfg_.telemetry->record("system.ci_staleness", now_, staleness_.seconds());
-      }
-    }
-    ci_history_.push_back(ci_now_);
+    if (pc.violation) ++result_.budget_violations;
+    last_cap_ = pc.cap;
+    account_tick(0.0, 0.0);
     now_ += tick;
     ff_ticks.add();
   }
@@ -672,8 +693,8 @@ void Simulator::flush_job_counters() {
   }
 }
 
-std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
-                                Duration span_end, bool ride_arrivals) {
+void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
+                         Duration span_end, bool ride_arrivals) {
   GREENHPC_TRACE_SPAN("sim.span");
   static obs::Counter& span_ticks = sim_counter("sim.span_ticks");
   static obs::Counter& spans_counter = sim_counter("sim.spans");
@@ -682,7 +703,6 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   const double tick_s = tick.seconds();
   const double idle_w = cfg_.cluster.node_idle.watts();
   const bool enforce_wt = cfg_.cluster.enforce_walltime;
-  const bool telemetry = cfg_.telemetry != nullptr;
 
   // With no feed the observed intensity IS the ground-truth trace, which
   // is piecewise-constant per trace segment — hoist the sample and reload
@@ -692,9 +712,28 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   const bool hoist_ci = cfg_.feed == nullptr;
   const util::TimeSeries& trace = *cfg_.carbon_intensity;
   Duration seg_end = now_;
+  const auto observe = [&] {
+    if (!hoist_ci) {
+      observe_intensity();
+      return;
+    }
+    if (now_ < seg_end) return;
+    ci_true_ = trace.sample_at_clamped(now_, ci_cursor_);
+    ci_now_ = ci_true_;
+    staleness_ = seconds(0.0);
+    if (now_ < trace.start()) {
+      seg_end = trace.start() + trace.step();
+    } else if (now_ < trace.end()) {
+      seg_end = trace.start() +
+                seconds(static_cast<double>(trace.index_at(now_) + 1) *
+                        trace.step().seconds());
+    } else {
+      seg_end = span_end;  // clamped past the end: constant forever
+    }
+  };
   // Check-free chunks need a constant observed intensity and no per-tick
   // telemetry records (those carry the per-tick timestamp).
-  const bool chunkable = hoist_ci && !telemetry;
+  const bool chunkable = hoist_ci && cfg_.telemetry == nullptr;
 
   std::size_t n = 0;
   std::size_t event_ticks = 0;
@@ -706,6 +745,7 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   std::size_t k = 0;
   double cap = 1.0;
   bool violation = false;
+  bool cap_stable = false;
   double tick_energy_j = 0.0;
   double busy_nodes_total = 0.0;
   double idle_energy_j = 0.0;
@@ -713,7 +753,17 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   double total_carbon_per_ci = 0.0;
   double system_power_w = 0.0;
   bool full_hoist = true;
-  bool cap_stable = false;
+  // The whole-tick totals account_tick would compute for the current
+  // running set, with the intensity factored out (same operands, same
+  // order).
+  const auto hoist_totals = [&](double jobs_energy_j, double busy_nodes) {
+    busy_nodes_total = busy_nodes;
+    idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
+    tick_energy_j = jobs_energy_j + idle_energy_j;
+    idle_carbon_per_ci = idle_energy_j / 3.6e6;
+    total_carbon_per_ci = tick_energy_j / 3.6e6;
+    system_power_w = tick_energy_j / tick_s;
+  };
 
   // Sync the compacted survivors' integrator columns from the (always
   // authoritative) scratch accumulators. The in-span event path leaves
@@ -737,33 +787,13 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   // bound, or at the first release the policy reacts to.
   for (;;) {
   if (full_hoist) {
+  // Per-sub-span constants from the shared step helpers on the frozen
+  // discrete state: the values integrate_tick would recompute tick after
+  // tick are hoisted, not approximated.
   k = running_slots_.size();
-
-  // Per-sub-span constants, computed with integrate_tick's exact
-  // operations on the frozen discrete state. Same operands, same order:
-  // the values integrate_tick would recompute tick after tick are
-  // hoisted, not approximated.
-  double busy_full_w = 0.0;
-  double baseline_w = idle_w * static_cast<double>(free_nodes_);
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t i = running_slots_[j];
-    const int busy = busy_nodes_of(i);
-    const int extra = core_.alloc_nodes[i] - busy;
-    busy_full_w += static_cast<double>(busy) * core_.eff_power_w[i];
-    baseline_w += static_cast<double>(extra) * idle_w;
-  }
-  cap = 1.0;
-  violation = false;
-  if (busy_full_w > 0.0 && baseline_w + busy_full_w > budget_now_.watts()) {
-    cap = (budget_now_.watts() - baseline_w) / busy_full_w;
-    if (cap < cfg_.cluster.min_cap_fraction) {
-      cap = cfg_.cluster.min_cap_fraction;
-      violation = true;
-    }
-    cap = std::min(cap, 1.0);
-  } else if (busy_full_w == 0.0 && baseline_w > budget_now_.watts()) {
-    violation = true;  // idle floor alone exceeds the budget
-  }
+  const PowerCap pc = power_cap();
+  cap = pc.cap;
+  violation = pc.violation;
   last_cap_ = cap;
   // A node release flips its draw between the job term and the idle
   // floor, moving total demand by at most idle_w per node — nodes *
@@ -772,42 +802,31 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   // proves the cap stays 1.0 and uncapped through any sequence of
   // in-span releases, so the per-event cap recompute can be skipped.
   cap_stable = cap == 1.0 && !violation &&
-               budget_now_.watts() - (baseline_w + busy_full_w) >
+               budget_w - pc.demand_w >
                    static_cast<double>(cfg_.cluster.nodes) * idle_w + 1.0;
 
   // Gather the running set into the compacted scratch columns: per-tick
-  // constants (energy, carbon integrand, progress step) plus local
-  // accumulators that scatter back at sub-span exit. Accumulating
-  // locally is bit-identical to accumulating in place — each accumulator
-  // receives the same additions in the same order.
-  tick_energy_j = 0.0;
-  busy_nodes_total = 0.0;
+  // constants plus local accumulators that scatter back at sub-span exit.
+  // Accumulating locally is bit-identical to accumulating in place — each
+  // accumulator receives the same additions in the same order.
+  double jobs_energy_j = 0.0;
+  double busy_nodes = 0.0;
   for (std::size_t j = 0; j < k; ++j) {
     const std::size_t i = running_slots_[j];
-    const int busy = busy_nodes_of(i);
-    const int extra = core_.alloc_nodes[i] - busy;
-    const double speed = cap_speed(i, cap) * scale_factor(i);
-    const double rate = speed / core_.runtime_s[i];
-    const double draw_w = static_cast<double>(busy) * core_.eff_power_w[i] * cap +
-                          static_cast<double>(extra) * idle_w;
-    const double job_energy_j = draw_w * tick_s;
+    const TickRates r = tick_rates(i, cap);
     core_.sp_slot[j] = static_cast<std::int32_t>(i);
-    core_.sp_ej[j] = job_energy_j;
-    core_.sp_dj[j] = job_energy_j / 3.6e6;
-    core_.sp_rp[j] = rate * tick_s;
+    core_.sp_ej[j] = r.ej;
+    core_.sp_dj[j] = r.dj;
+    core_.sp_rp[j] = r.rp;
     core_.sp_prog[j] = core_.progress[i];
     core_.sp_wall[j] = core_.wall_used_s[i];
     core_.sp_wl[j] = core_.walltime_s[i];
     core_.sp_en[j] = core_.energy_j[i];
     core_.sp_cb[j] = core_.carbon_g[i];
-    tick_energy_j += job_energy_j;
-    busy_nodes_total += static_cast<double>(core_.alloc_nodes[i]) * (tick_s / tick_s);
+    jobs_energy_j += r.ej;
+    busy_nodes += static_cast<double>(core_.alloc_nodes[i]);
   }
-  idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
-  tick_energy_j += idle_energy_j;
-  idle_carbon_per_ci = idle_energy_j / 3.6e6;
-  total_carbon_per_ci = tick_energy_j / 3.6e6;
-  system_power_w = tick_energy_j / tick_s;
+  hoist_totals(jobs_energy_j, busy_nodes);
   }
   full_hoist = true;
 
@@ -828,8 +847,7 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
     }
     // Exit checks run BEFORE this tick is observed or integrated: the
     // tick an event lands in leaves the flat loop and is resolved below
-    // by the exact integrate path (analytic mid-tick completion,
-    // walltime clamp, feed observation).
+    // by step_job (analytic mid-tick completion, walltime clamp).
     event = false;
     for (std::size_t j = 0; j < k; ++j) {
       event |= core_.sp_rp[j] > 0.0 && core_.sp_prog[j] + core_.sp_rp[j] >= 1.0;
@@ -840,24 +858,7 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
       }
     }
     if (event) break;
-    if (hoist_ci) {
-      if (now_ >= seg_end) {
-        ci_true_ = trace.sample_at_clamped(now_, ci_cursor_);
-        ci_now_ = ci_true_;
-        staleness_ = seconds(0.0);
-        if (now_ < trace.start()) {
-          seg_end = trace.start() + trace.step();
-        } else if (now_ < trace.end()) {
-          seg_end = trace.start() +
-                    seconds(static_cast<double>(trace.index_at(now_) + 1) *
-                            trace.step().seconds());
-        } else {
-          seg_end = span_end;  // clamped past the end: constant forever
-        }
-      }
-    } else {
-      observe_intensity();
-    }
+    observe();
     const double ci = ci_true_;
 
     if (chunkable) {
@@ -939,212 +940,78 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
     result_.idle_carbon += grams_co2(idle_carbon_per_ci * ci);
     result_.total_energy += joules(tick_energy_j);
     result_.total_carbon += grams_co2(total_carbon_per_ci * ci);
-    result_.system_power.push_back(system_power_w);
-    result_.power_budget.push_back(budget_w);
-    result_.carbon_intensity.push_back(ci);
-    result_.busy_nodes.push_back(busy_nodes_total);
-    if (telemetry) {
-      cfg_.telemetry->record("system.power", now_, system_power_w);
-      cfg_.telemetry->record("system.budget", now_, budget_w);
-      cfg_.telemetry->record("system.ci", now_, ci);
-      cfg_.telemetry->record("system.busy_nodes", now_, busy_nodes_total);
-      if (cfg_.faults.enabled()) {
-        cfg_.telemetry->record("system.nodes_down", now_,
-                               static_cast<double>(nodes_down_));
-      }
-      if (cfg_.feed != nullptr) {
-        cfg_.telemetry->record("system.ci_observed", now_, ci_now_);
-        cfg_.telemetry->record("system.ci_staleness", now_, staleness_.seconds());
-      }
-    }
-    ci_history_.push_back(ci_now_);
+    emit_tick(system_power_w, busy_nodes_total);
     now_ += tick;
     ++n;
   }
-  if (!event || !cfg_.span_completions) {
-    // Span exit (horizon / bound reached, or fencing mode where the
-    // per-tick path replays the event tick): scatter the local
-    // accumulators back to the slot columns. The in-span event path
-    // skips this — its fused pass below finalizes the leavers' columns
-    // itself and keeps the survivors scratch-resident, so the
-    // intermediate pre-tick sync would be dead stores.
+  if (!event) {
+    // Horizon or bound reached: scatter the local accumulators back to
+    // the slot columns. The event tick below skips this — it finalizes
+    // the leavers' columns itself and keeps the survivors
+    // scratch-resident.
     scatter(k);
     break;
   }
 
-  // --- in-span event tick (analytic) -----------------------------------
-  // The tick a completion or walltime kill lands in replays
-  // integrate_tick's exact per-tick sequence — same expressions, same
-  // operand order — fused with the order-preserving compaction of the
-  // running lists AND of the scratch columns, so the kernel continues
-  // without a full re-gather. The cap is the hoisted one: integrate_tick
-  // would recompute it from the same frozen discrete state, hence
-  // bit-identically. Arrivals due at this tick were already pushed above
-  // when riding; when not riding, span_end is bounded by the next
-  // arrival so none are due. Faults, repairs and requeue releases cannot
-  // occur before hard_end, and the policy's quiescence attestation
-  // covers this tick (< span_end <= horizon), so skipping on_tick is
-  // exact. The per-job branches read scratch — authoritative since the
-  // last gather. Leavers get their columns finalized here (their scratch
-  // rows are recycled by the compaction); survivors advance in scratch
-  // only and their columns catch up at the next scatter point.
-  if (hoist_ci) {
-    if (now_ >= seg_end) {
-      // Segment boundary falls on the event tick: load the fresh sample
-      // (same call the flat loop would make; seg_end stays put so the
-      // next sub-span recomputes the segment bound).
-      ci_true_ = trace.sample_at_clamped(now_, ci_cursor_);
-      ci_now_ = ci_true_;
-      staleness_ = seconds(0.0);
-    }
-  } else {
-    observe_intensity();
-  }
-  // Next sub-span totals, accumulated over the survivors in compacted
-  // order — the same additions in the same order the re-hoist's totals
-  // rebuild would perform, so using them is bit-identical.
-  double next_energy_j = 0.0;
-  double next_busy_nodes = 0.0;
-  {
+  // --- in-span event tick -----------------------------------------------
+  // The tick a completion or walltime kill lands in runs integrate_tick's
+  // step over the scratch columns, fused with the order-preserving
+  // compaction of the running lists AND of the scratch rows, so the
+  // kernel continues without a full re-gather. The cap is the hoisted
+  // one: integrate_tick would recompute it from the same frozen discrete
+  // state. Arrivals due at this tick were already pushed above when
+  // riding; when not riding, span_end is bounded by the next arrival so
+  // none are due. Faults, repairs and requeue releases cannot occur
+  // before hard_end, and the policy's quiescence attestation covers this
+  // tick (< span_end <= horizon), so skipping on_tick is exact. Leavers
+  // get their columns finalized here; survivors advance in scratch only
+  // and their columns catch up at the next scatter point.
+  observe();
   const double ci = ci_true_;
   double ev_energy_j = 0.0;
   double ev_busy_nodes = 0.0;
-  bool any_finished = false;
+  // Next sub-span totals over the survivors in compacted order — the
+  // additions the full hoist's gather would perform, in the same order.
+  double next_energy_j = 0.0;
+  double next_busy_nodes = 0.0;
   std::size_t w = 0;
   for (std::size_t j = 0; j < k; ++j) {
     const auto i = static_cast<std::size_t>(core_.sp_slot[j]);
-    JobSlot& s = slots_[i];
-    bool done = false;
-    if (core_.sp_rp[j] > 0.0 && core_.sp_prog[j] + core_.sp_rp[j] >= 1.0) {
-      // Analytic mid-tick completion: dt, energy and carbon from the
-      // recomputed rate and draw (same inputs and expressions as
-      // integrate_tick's, so bit-identical values).
-      const int busy = busy_nodes_of(i);
-      const int extra = core_.alloc_nodes[i] - busy;
-      const double speed = cap_speed(i, cap) * scale_factor(i);
-      const double rate = speed / core_.runtime_s[i];
-      const double draw_w = static_cast<double>(busy) * core_.eff_power_w[i] * cap +
-                            static_cast<double>(extra) * idle_w;
-      const double dt = (1.0 - core_.sp_prog[j]) / rate;
-      core_.progress[i] = 1.0;
-      s.info.phase = JobPhase::Done;
-      s.info.finish = now_ + seconds(dt);
-      core_.wall_used_s[i] = core_.sp_wall[j] + dt;
-      const double job_energy_j = draw_w * dt;
-      core_.energy_j[i] = core_.sp_en[j] + job_energy_j;
-      core_.carbon_g[i] = core_.sp_cb[j] + job_energy_j / 3.6e6 * ci;
-      ev_energy_j += job_energy_j;
-      ev_busy_nodes += static_cast<double>(core_.alloc_nodes[i]) * (dt / tick_s);
-      done = true;
-    } else {
-      bool killed = false;
-      double dt = tick_s;
-      if (enforce_wt) {
-        const double remaining_wall = core_.sp_wl[j] - core_.sp_wall[j];
-        if (remaining_wall <= tick_s) {
-          dt = std::max(0.0, remaining_wall);
-          killed = true;
-        }
-      }
-      if (killed) {
-        // Walltime clamp: the clock only runs while the job executes.
-        const int busy = busy_nodes_of(i);
-        const int extra = core_.alloc_nodes[i] - busy;
-        const double speed = cap_speed(i, cap) * scale_factor(i);
-        const double rate = speed / core_.runtime_s[i];
-        const double draw_w = static_cast<double>(busy) * core_.eff_power_w[i] * cap +
-                              static_cast<double>(extra) * idle_w;
-        s.info.phase = JobPhase::Done;
-        s.info.killed = true;
-        s.info.finish = now_ + seconds(dt);
-        ++result_.walltime_kills;
-        ++pending_kills_;  // batched: flushed once per span / tick
-        core_.progress[i] = core_.sp_prog[j] + rate * dt;
-        core_.wall_used_s[i] = core_.sp_wall[j] + dt;
-        const double job_energy_j = draw_w * dt;
-        core_.energy_j[i] = core_.sp_en[j] + job_energy_j;
-        core_.carbon_g[i] = core_.sp_cb[j] + job_energy_j / 3.6e6 * ci;
-        ev_energy_j += job_energy_j;
-        ev_busy_nodes += static_cast<double>(core_.alloc_nodes[i]) * (dt / tick_s);
-        done = true;
-      } else {
-        // Survivor: the flat-tick update (bit-identical to the one
-        // integrate_tick would recompute), kept scratch-resident — the
-        // columns catch up at the next scatter point; compaction keeps
-        // the relative order.
-        const double prog = core_.sp_prog[j] + core_.sp_rp[j];
-        const double wall = core_.sp_wall[j] + tick_s;
-        const double en = core_.sp_en[j] + core_.sp_ej[j];
-        const double cb = core_.sp_cb[j] + core_.sp_dj[j] * ci;
-        const double bn = static_cast<double>(core_.alloc_nodes[i]) * (tick_s / tick_s);
-        ev_energy_j += core_.sp_ej[j];
-        ev_busy_nodes += bn;
-        next_energy_j += core_.sp_ej[j];
-        next_busy_nodes += bn;
-        core_.sp_prog[w] = prog;
-        core_.sp_wall[w] = wall;
-        core_.sp_en[w] = en;
-        core_.sp_cb[w] = cb;
-        if (w != j) {
-          core_.sp_slot[w] = core_.sp_slot[j];
-          core_.sp_ej[w] = core_.sp_ej[j];
-          core_.sp_dj[w] = core_.sp_dj[j];
-          core_.sp_rp[w] = core_.sp_rp[j];
-          core_.sp_wl[w] = core_.sp_wl[j];
-          s.list_pos = static_cast<std::int32_t>(w);
-          running_[w] = running_[j];
-          running_slots_[w] = i;
-        }
-        ++w;
-      }
+    const TickRates r{core_.sp_rp[j], core_.sp_ej[j], core_.sp_dj[j]};
+    JobAcc a{core_.sp_prog[j], core_.sp_wall[j], core_.sp_en[j], core_.sp_cb[j]};
+    const StepOut o = step_job(i, cap, r, a, ci);
+    ev_energy_j += o.energy_j;
+    ev_busy_nodes += o.busy_nodes;
+    if (o.done) {
+      core_.progress[i] = a.prog;
+      core_.wall_used_s[i] = a.wall;
+      core_.energy_j[i] = a.en;
+      core_.carbon_g[i] = a.cb;
+      release_job(i);
+      continue;
     }
-    if (done) {
-      any_finished = true;
-      free_nodes_ += core_.alloc_nodes[i];
-      core_.alloc_nodes[i] = 0;
-      s.queue = Queue::None;
-      s.list_pos = -1;
-      result_.makespan = std::max(result_.makespan, s.info.finish);
-      if (!s.info.killed) {
-        ++result_.completed_jobs;
-        ++pending_completions_;  // batched: flushed once per span / tick
-      }
+    next_energy_j += r.ej;
+    next_busy_nodes += o.busy_nodes;
+    core_.sp_prog[w] = a.prog;
+    core_.sp_wall[w] = a.wall;
+    core_.sp_en[w] = a.en;
+    core_.sp_cb[w] = a.cb;
+    if (w != j) {
+      core_.sp_slot[w] = core_.sp_slot[j];
+      core_.sp_ej[w] = r.ej;
+      core_.sp_dj[w] = r.dj;
+      core_.sp_rp[w] = r.rp;
+      core_.sp_wl[w] = core_.sp_wl[j];
+      keep_running(j, w);
     }
+    ++w;
   }
-  if (any_finished) ++epoch_;
+  if (w < k) ++epoch_;
   running_.resize(w);
   running_slots_.resize(w);
   k = w;
-
-  // End-of-tick idle term uses the post-release free count, exactly as
-  // integrate_tick does.
-  const double ev_idle_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
-  ev_energy_j += ev_idle_j;
-  result_.idle_energy += joules(ev_idle_j);
-  result_.idle_carbon += grams_co2(ev_idle_j / 3.6e6 * ci);
-  result_.total_energy += joules(ev_energy_j);
-  result_.total_carbon += grams_co2(ev_energy_j / 3.6e6 * ci);
   if (violation) ++result_.budget_violations;
-  result_.system_power.push_back(ev_energy_j / tick_s);
-  result_.power_budget.push_back(budget_w);
-  result_.carbon_intensity.push_back(ci);
-  result_.busy_nodes.push_back(ev_busy_nodes);
-  if (telemetry) {
-    cfg_.telemetry->record("system.power", now_, ev_energy_j / tick_s);
-    cfg_.telemetry->record("system.budget", now_, budget_w);
-    cfg_.telemetry->record("system.ci", now_, ci);
-    cfg_.telemetry->record("system.busy_nodes", now_, ev_busy_nodes);
-    if (cfg_.faults.enabled()) {
-      cfg_.telemetry->record("system.nodes_down", now_,
-                             static_cast<double>(nodes_down_));
-    }
-    if (cfg_.feed != nullptr) {
-      cfg_.telemetry->record("system.ci_observed", now_, ci_now_);
-      cfg_.telemetry->record("system.ci_staleness", now_, staleness_.seconds());
-    }
-  }
-  }
-  ci_history_.push_back(ci_now_);
+  account_tick(ev_energy_j, ev_busy_nodes);
   now_ += tick;
   ++n;
   ++event_ticks;
@@ -1194,64 +1061,31 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   }
 
   // Incremental re-hoist: recompute the cap over the compacted running
-  // set (same expressions as the full hoist). When it lands on exactly
-  // the old cap — the common case without a power budget, where both
-  // are 1.0 — every per-job scratch constant is provably unchanged
-  // (same cap, same per-job state), so the whole-tick totals come
-  // straight from the event pass's fused accumulators and the full
-  // gather is skipped. A moved cap falls back to the full hoist at the
-  // top of the loop. When the full hoist proved the cap stable across
-  // releases (cap_stable), even the recompute is skipped.
-  {
-    double ncap = 1.0;
-    bool nviol = false;
-    if (!cap_stable) {
-      double busy_full_w = 0.0;
-      double baseline_w = idle_w * static_cast<double>(free_nodes_);
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::size_t i = running_slots_[j];
-        const int busy = busy_nodes_of(i);
-        const int extra = core_.alloc_nodes[i] - busy;
-        busy_full_w += static_cast<double>(busy) * core_.eff_power_w[i];
-        baseline_w += static_cast<double>(extra) * idle_w;
-      }
-      if (busy_full_w > 0.0 && baseline_w + busy_full_w > budget_now_.watts()) {
-        ncap = (budget_now_.watts() - baseline_w) / busy_full_w;
-        if (ncap < cfg_.cluster.min_cap_fraction) {
-          ncap = cfg_.cluster.min_cap_fraction;
-          nviol = true;
-        }
-        ncap = std::min(ncap, 1.0);
-      } else if (busy_full_w == 0.0 && baseline_w > budget_now_.watts()) {
-        nviol = true;
-      }
-    }
-    if (ncap == cap) {
-      last_cap_ = ncap;
-      violation = nviol;
-      tick_energy_j = next_energy_j;
-      busy_nodes_total = next_busy_nodes;
-      idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
-      tick_energy_j += idle_energy_j;
-      idle_carbon_per_ci = idle_energy_j / 3.6e6;
-      total_carbon_per_ci = tick_energy_j / 3.6e6;
-      system_power_w = tick_energy_j / tick_s;
-      full_hoist = false;
-    } else {
-      // Cap moved: the loop re-runs the full hoist, whose gather reads
-      // the columns — bring the survivors' columns up to date first
-      // (idempotent if the window-extension path already did).
+  // set. When it lands on exactly the old cap — the common case without
+  // a power budget, where both are 1.0 — every per-job scratch constant
+  // is provably unchanged (same cap, same per-job state), so the
+  // whole-tick totals come straight from the event pass's fused
+  // accumulators and the full gather is skipped. When the full hoist
+  // proved the cap stable across releases (cap_stable), even the
+  // recompute is skipped.
+  if (!cap_stable) {
+    const PowerCap pc = power_cap();
+    if (pc.cap != cap) {
+      // Cap moved: the full hoist's gather reads the columns — bring the
+      // survivors' columns up to date first (idempotent if the
+      // window-extension path already did).
       scatter(k);
+      continue;
     }
+    violation = pc.violation;
   }
+  hoist_totals(next_energy_j, next_busy_nodes);
+  full_hoist = false;
   }  // for (;;) — next sub-span continues over the compacted running set
-  if (n > 0) {
-    span_ticks.add(n);
-    spans_counter.add();
-  }
+  span_ticks.add(n);
+  spans_counter.add();
   if (event_ticks > 0) span_event_ticks.add(event_ticks);
   flush_job_counters();
-  return n;
 }
 
 SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* power) {
@@ -1328,10 +1162,8 @@ SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* powe
           }
           if (span_end > now_) {
             budget_now_ = cfg_.cluster.max_power();
-            if (run_span(sched, hard_end, span_end, ride) > 0) continue;
-            // 0 ticks: an event lands in the very first tick with
-            // span_completions off — take the per-tick path below so it
-            // is handled exactly.
+            run_span(sched, hard_end, span_end, ride);
+            continue;
           }
         }
       }
@@ -1356,7 +1188,6 @@ SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* powe
       integrate_tick();
     }
     flush_job_counters();
-    ci_history_.push_back(ci_now_);
     now_ += tick;
     ticks_counter.add();
   }

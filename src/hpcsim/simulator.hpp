@@ -85,20 +85,12 @@ class Simulator final : public SimulationView {
     IntensityFeed* feed = nullptr;
     /// Force the tick-exact reference path: disables the span batch
     /// kernel and the idle fast-forward, so every tick runs the full
-    /// arrivals/faults/schedule/integrate sequence. The fast paths are
-    /// bit-identical by construction; this knob exists so the
-    /// equivalence property test (and debugging sessions) can prove it.
+    /// arrivals/faults/schedule/integrate sequence. The fast paths share
+    /// the per-job step with it and are bit-identical by construction;
+    /// this knob is the oracle the equivalence property test, the golden
+    /// dense cross-check and bench_perf's in-span/reference gate compare
+    /// against.
     bool reference_mode = false;
-    /// Resolve completions and walltime kills inside the span batch
-    /// kernel (the default): the event tick runs the exact integrate
-    /// path in-kernel, and the span continues when the policy attests
-    /// the release changes nothing (SchedulingPolicy::
-    /// quiescent_over_release). false restores the previous fencing
-    /// behaviour — every completion terminates the span and the per-tick
-    /// path replays the event tick — which is what bench_perf's dense
-    /// scale compares against. Both settings are bit-identical to the
-    /// reference loop.
-    bool span_completions = true;
   };
 
   /// The job list need not be sorted; it is indexed by JobId internally.
@@ -205,6 +197,61 @@ class Simulator final : public SimulationView {
   void list_push(std::vector<JobId>& list, Queue kind, JobId id);
   void list_erase(std::vector<JobId>& list, JobId id);
 
+  // --- the per-tick step, shared by every engine path (DESIGN.md,
+  //     "Digest-stability invariants"): the reference loop, the span
+  //     kernel's hoist and event tick, and the idle fast-forward call
+  //     these, so the paths agree bit for bit by construction ---
+  struct PowerCap {
+    double cap = 1.0;        ///< fraction of full job draw (1.0 = uncapped)
+    bool violation = false;  ///< budget unreachable even at min_cap_fraction
+    double demand_w = 0.0;   ///< uncapped system draw
+  };
+  /// Uniform cap on the busy (job) share of the running set when the
+  /// uncapped draw exceeds budget_now_.
+  [[nodiscard]] PowerCap power_cap() const;
+  /// A running job's progress rate (1/s) and draw (W) under a cap.
+  struct JobDraw {
+    double rate;
+    double draw_w;
+  };
+  [[nodiscard]] JobDraw job_draw(std::size_t i, double cap) const;
+  /// job_draw over one whole tick: progress, energy (J) and carbon
+  /// integrand (energy / 3.6e6).
+  struct TickRates {
+    double rp = 0.0;
+    double ej = 0.0;
+    double dj = 0.0;
+  };
+  [[nodiscard]] TickRates tick_rates(std::size_t i, double cap) const;
+  /// A running job's integrator state across a step; the caller loads it
+  /// from the slot columns or from the span scratch and stores it back.
+  struct JobAcc {
+    double prog;
+    double wall;
+    double en;
+    double cb;
+  };
+  /// What one job added to the tick, and whether it left the running set.
+  struct StepOut {
+    double energy_j;
+    double busy_nodes;
+    bool done;
+  };
+  /// Step running job i through the current tick: analytic mid-tick
+  /// finish, walltime clamp, or a whole tick. A leaver is marked Done
+  /// (release_job frees it).
+  StepOut step_job(std::size_t i, double cap, const TickRates& r, JobAcc& a,
+                   double ci);
+  /// Return a Done job's nodes and record its finish.
+  void release_job(std::size_t i);
+  /// Move running entry j to position w (order-preserving compaction).
+  void keep_running(std::size_t j, std::size_t w);
+  /// Add the idle floor to the tick's job energy, accumulate the energy
+  /// and carbon totals, and emit_tick.
+  void account_tick(double jobs_energy_j, double busy_nodes);
+  /// Per-tick output: the result series, telemetry and intensity history.
+  void emit_tick(double system_power_w, double busy_nodes);
+
   void integrate_tick();
   /// Process wholly idle ticks (no jobs anywhere) in a tight loop until
   /// the next arrival, fault event or max_time. Reproduces the normal
@@ -217,21 +264,20 @@ class Simulator final : public SimulationView {
   /// action at the current discrete state (epoch check) and attests
   /// quiescence (SchedulingPolicy::quiescent_until), and no fault
   /// event, repair or requeue release falls before hard_end. The
-  /// per-tick constants (cap, per-job draw/rate, totals) are hoisted
-  /// once per sub-span; every accumulator receives the same additions in
-  /// the same order as the per-tick path, so results are bit-identical.
+  /// per-tick constants (cap, per-job tick rates, totals) are hoisted
+  /// once per sub-span through the shared step helpers; every
+  /// accumulator receives the same additions in the same order as the
+  /// per-tick path, so results are bit-identical.
   /// A tick a completion or walltime kill lands in is resolved inside
-  /// the kernel (cfg_.span_completions): the scratch columns scatter
-  /// back and the exact integrate_tick runs — analytic mid-tick finish,
-  /// node release, record emission, order-preserving compaction — then
-  /// the span continues iff the policy attests the release changed
-  /// nothing (quiescent_over_release) under a re-asked horizon, and
-  /// fences back to the per-tick path otherwise. hard_end caps every
-  /// re-bound horizon (fault/repair/requeue/max_time events can never be
-  /// crossed). Returns the number of ticks integrated (0 only when an
-  /// event lands in the very first tick with span_completions off).
-  std::size_t run_span(SchedulingPolicy& sched, Duration hard_end,
-                       Duration span_end, bool ride_arrivals);
+  /// the kernel by step_job over the scratch columns — analytic mid-tick
+  /// finish, node release, order-preserving compaction — then the span
+  /// continues iff the policy attests the release changed nothing
+  /// (quiescent_over_release) under a re-asked horizon, and returns to
+  /// the per-tick path otherwise. hard_end caps every re-bound horizon
+  /// (fault/repair/requeue/max_time events can never be crossed).
+  /// Integrates at least one tick (span_end > now).
+  void run_span(SchedulingPolicy& sched, Duration hard_end, Duration span_end,
+                bool ride_arrivals);
   /// Flush the span-local per-completion counter batches to the obs
   /// registry (one add(n) per span instead of one atomic add per
   /// completion; see DESIGN.md).

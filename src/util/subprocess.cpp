@@ -85,6 +85,9 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
     ::close(to_child[1]);
     ::close(from_child[0]);
     ::close(from_child[1]);
+    // Own process group, so kill_hard reaches whatever the child spawns
+    // (a wrapper shell's children, say) and not only the child itself.
+    ::setpgid(0, 0);
     std::vector<char*> cargv;
     cargv.reserve(argv.size() + 1);
     for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
@@ -95,6 +98,11 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
     ::_exit(127);
   }
 
+  // Also set the group from the parent side: whichever of the two calls
+  // runs first creates it, so kill_hard never signals a group that does
+  // not exist yet. (EACCES after the child's exec is harmless: the child
+  // set it already.)
+  ::setpgid(pid, pid);
   ::close(to_child[0]);
   ::close(from_child[1]);
   Subprocess p;
@@ -142,8 +150,10 @@ bool Subprocess::running() {
 }
 
 void Subprocess::kill_hard() {
+  // Unreaped, the child's pid is still its own and names its process
+  // group, so the group signal cannot hit an unrelated process.
   if (pid_ <= 0 || reaped_) return;
-  ::kill(pid_, SIGKILL);
+  if (::kill(-pid_, SIGKILL) != 0) ::kill(pid_, SIGKILL);
   (void)wait();
 }
 

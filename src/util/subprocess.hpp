@@ -57,7 +57,8 @@ class Subprocess {
 
   /// Non-blocking liveness probe (waitpid WNOHANG); reaps on exit.
   [[nodiscard]] bool running();
-  /// SIGKILL + blocking reap. Idempotent; no-op once reaped.
+  /// SIGKILL to the child's process group (the child and anything it
+  /// spawned) + blocking reap of the child. Idempotent; no-op once reaped.
   void kill_hard();
   /// Blocking reap; returns the raw waitpid status (or the cached one).
   int wait();

@@ -5,30 +5,41 @@
 // claims to be bit-identical to the tick-exact reference loop. The golden
 // fixture pins four specific runs; this test proves the claim across a
 // randomized family of small scenarios: for each sampled (workload,
-// scheduler, faults) combination the simulation runs three times — with
-// Config::reference_mode forcing the per-tick path, with every fast path
-// enabled (in-span completion kernel included), and with
-// Config::span_completions off (per-event fencing, the PR 7 behaviour) —
-// and the three SimulationResults must match field by field, every
-// double compared by bit pattern. The completion-dense "waves" combos
-// (hourly arrival quanta, small jobs, short tick) drive thousands of
-// finishes through the in-span event tick specifically.
+// scheduler, faults) combination the simulation runs twice — with
+// Config::reference_mode forcing the per-tick path, and with every fast
+// path enabled (in-span completion kernel included) — and the two
+// SimulationResults must match field by field, every double compared by
+// bit pattern. The completion-dense "waves" combos (hourly arrival quanta,
+// small jobs, short tick) drive thousands of finishes through the in-span
+// event tick specifically. Combos with a telemetry sink compare every
+// recorded sample (the span's per-tick output path); combos with a
+// degraded intensity feed observe the feed inside spans.
+//
+// Both engines share the per-job step, so bit-identity alone no longer
+// checks the integration formula independently: each run is also checked
+// for energy and carbon conservation (the jobs' energy plus the idle
+// floor's adds up to the cluster total).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 
 #include "carbon/forecast.hpp"
 #include "core/scenario.hpp"
 #include "hpcsim/simulator.hpp"
 #include "resilience/checkpoint_policy.hpp"
+#include "resilience/degraded_feed.hpp"
 #include "sched/carbon_aware.hpp"
 #include "sched/decorators.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
+#include "telemetry/sensor_store.hpp"
 
 namespace greenhpc {
 namespace {
@@ -120,7 +131,60 @@ struct Combo {
   // tick (releases, record emission, survivor compaction) rather than
   // integrating quietly to the horizon.
   bool waves = false;
+  // Record system telemetry into a SensorStore (disables the check-free
+  // chunks: every span tick takes the per-tick output path).
+  bool telemetry = false;
+  // Observe intensity through a DegradedFeed with outages (policies see
+  // held values and a growing staleness clock; spans sample per tick).
+  bool feed = false;
 };
+
+/// Readable test parameter (gtest would otherwise print raw bytes,
+/// including the scheduler pointer and padding, into the test names).
+void PrintTo(const Combo& c, std::ostream* os) {
+  *os << c.scheduler << " seed=" << c.seed << " nodes=" << c.nodes
+      << " jobs=" << c.jobs << " days=" << c.span_days << " faults=" << c.faults
+      << " waves=" << c.waves << " telemetry=" << c.telemetry
+      << " feed=" << c.feed;
+}
+
+/// Both engines' telemetry stores must hold the same sensors with the
+/// same samples, times and values compared by bit pattern.
+void expect_same_telemetry(const telemetry::SensorStore& ref,
+                           const telemetry::SensorStore& fast) {
+  ASSERT_EQ(ref.names(), fast.names());
+  for (const std::string& name : ref.names()) {
+    const auto& rs = ref.find(name)->samples();
+    const auto& fs = fast.find(name)->samples();
+    ASSERT_EQ(rs.size(), fs.size()) << name;
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      EXPECT_SAME_BITS(rs[i].time.seconds(), fs[i].time.seconds())
+          << name << " sample " << i;
+      EXPECT_SAME_BITS(rs[i].value, fs[i].value) << name << " sample " << i;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+/// Σ job energy + idle energy == total energy (and the same for carbon),
+/// to a relative 1e-9: the accumulation orders differ, the sums must not.
+void expect_conserved(const hpcsim::SimulationResult& r, const char* engine) {
+  double job_energy_j = 0.0;
+  double job_carbon_g = 0.0;
+  for (const auto& j : r.jobs) {
+    job_energy_j += j.energy.joules();
+    job_carbon_g += j.carbon.grams();
+  }
+  const double total_j = r.total_energy.joules();
+  const double total_g = r.total_carbon.grams();
+  EXPECT_GT(total_j, 0.0) << engine;
+  EXPECT_LE(std::abs(job_energy_j + r.idle_energy.joules() - total_j),
+            1e-9 * total_j)
+      << engine << ": energy not conserved";
+  EXPECT_LE(std::abs(job_carbon_g + r.idle_carbon.grams() - total_g),
+            1e-9 * total_g)
+      << engine << ": carbon not conserved";
+}
 
 std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name) {
   if (name == "fcfs") return std::make_unique<sched::FcfsScheduler>();
@@ -142,7 +206,7 @@ std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name
 }
 
 hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
-                                  bool span_completions) {
+                                  telemetry::SensorStore* store) {
   core::ScenarioConfig sc;
   sc.cluster.nodes = combo.nodes;
   sc.cluster.node_tdp = watts(500.0);
@@ -167,7 +231,16 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
   cfg.cluster = runner.config().cluster;
   cfg.carbon_intensity = runner.trace();
   cfg.reference_mode = reference_mode;
-  cfg.span_completions = span_completions;
+  cfg.telemetry = store;
+  std::optional<resilience::DegradedFeed> feed;
+  if (combo.feed) {
+    resilience::DegradedFeedConfig fc;
+    fc.outage_fraction = 0.3;
+    fc.mean_outage = hours(1.0);
+    fc.seed = combo.seed;
+    feed.emplace(fc, sc.trace_span);
+    cfg.feed = &*feed;
+  }
   if (combo.faults) {
     for (int k = 0; k < 10; ++k) {
       cfg.faults.events.push_back(
@@ -197,19 +270,21 @@ class FastPathEquivalence : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(FastPathEquivalence, ReferenceAndFastPathsMatchBitForBit) {
   const Combo& combo = GetParam();
+  telemetry::SensorStore ref_store;
+  telemetry::SensorStore fast_store;
   const auto ref = run_once(combo, /*reference_mode=*/true,
-                            /*span_completions=*/true);
+                            combo.telemetry ? &ref_store : nullptr);
   const auto fast = run_once(combo, /*reference_mode=*/false,
-                             /*span_completions=*/true);
-  const auto fenced = run_once(combo, /*reference_mode=*/false,
-                               /*span_completions=*/false);
+                             combo.telemetry ? &fast_store : nullptr);
   EXPECT_GT(ref.completed_jobs, 0);
+  expect_conserved(ref, "reference");
+  expect_conserved(fast, "fast");
   expect_equivalent(ref, fast);
   if (::testing::Test::HasFailure()) return;
-  // The per-event fencing engine must agree too: a divergence here with
-  // ref==fast passing would finger the in-span completion kernel's
-  // fenced fallback path rather than the kernel itself.
-  expect_equivalent(ref, fenced);
+  if (combo.telemetry) {
+    EXPECT_GT(ref_store.size(), 0u);
+    expect_same_telemetry(ref_store, fast_store);
+  }
 }
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
@@ -220,6 +295,8 @@ std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   s += info.param.faults ? "_faults" : "_clean";
   s += info.param.waves ? "_waves"
                         : (info.param.span_days < 1.0 ? "_dense" : "_sparse");
+  if (info.param.telemetry) s += "_telemetry";
+  if (info.param.feed) s += "_feed";
   s += "_s" + std::to_string(info.param.seed);
   return s;
 }
@@ -249,7 +326,13 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{"fcfs", 71, 64, 260, 0.5, false, true},
         Combo{"easy", 72, 64, 260, 0.5, true, true},
         Combo{"carbon-easy", 73, 48, 200, 0.5, false, true},
-        Combo{"easy+ydckpt", 74, 48, 180, 0.5, false, true}),
+        Combo{"easy+ydckpt", 74, 48, 180, 0.5, false, true},
+        // Per-tick output and observed intensity inside spans: telemetry
+        // records every span tick (no check-free chunks), a degraded feed
+        // makes spans observe per tick through outages.
+        Combo{"fcfs", 81, 64, 260, 0.5, false, true, true, false},
+        Combo{"easy", 82, 64, 260, 0.5, false, true, false, true},
+        Combo{"carbon-easy", 83, 32, 90, 0.5, true, false, true, true}),
     combo_name);
 
 }  // namespace

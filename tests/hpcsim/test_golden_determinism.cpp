@@ -11,8 +11,8 @@
 // Covers a fault-free FCFS run, a fault-free carbon-aware EASY run (the
 // two extremes of policy complexity), a fault-injected EASY run (the
 // victim-draw and requeue machinery) and a completion-dense EASY run
-// (the in-span completion kernel, cross-checked against the fenced
-// engine).
+// (the in-span completion kernel, cross-checked against the reference
+// per-tick loop).
 
 #include <gtest/gtest.h>
 
@@ -134,12 +134,12 @@ core::ScenarioConfig dense_scenario() {
 }
 
 hpcsim::SimulationResult run_dense(hpcsim::SchedulingPolicy& sched,
-                                   bool span_completions) {
+                                   bool reference_mode) {
   const core::ScenarioRunner runner(dense_scenario());
   hpcsim::Simulator::Config cfg;
   cfg.cluster = runner.config().cluster;
   cfg.carbon_intensity = runner.trace();
-  cfg.span_completions = span_completions;
+  cfg.reference_mode = reference_mode;
   hpcsim::Simulator sim(cfg, runner.jobs());
   return sim.run(sched);
 }
@@ -170,8 +170,8 @@ constexpr std::uint64_t kGoldenFcfs = 0x75c804ab89d0e737ull;
 constexpr std::uint64_t kGoldenCarbonEasy = 0x06d083d01b4c2209ull;
 constexpr std::uint64_t kGoldenEasyFaults = 0x83eb17206180faa9ull;
 // Dense completion-bound scale, recorded with the in-span completion
-// kernel the same day the fenced engine produced the identical digest
-// (the test asserts both, so a drift in either path fails).
+// kernel (the test also asserts the reference loop reproduces it, so a
+// drift in either path fails).
 constexpr std::uint64_t kGoldenEasyDense = 0xf8aadb5c80df7733ull;
 
 TEST(GoldenDeterminism, FcfsReferenceScenario) {
@@ -211,11 +211,11 @@ TEST(GoldenDeterminism, EasyWithInjectedFaults) {
 
 // The completion-dense regime: thousands of single-node finishes resolve
 // inside batch spans. Pins the absolute digest AND cross-checks the
-// fenced (per-event span exit) engine against the in-span completion
-// kernel on the same scenario — a drift in either path fails here.
+// tick-exact reference loop against the in-span completion kernel on the
+// same scenario — a drift in either path fails here.
 TEST(GoldenDeterminism, EasyDenseCompletionScenario) {
   sched::EasyBackfillScheduler easy_inspan;
-  const auto r = run_dense(easy_inspan, /*span_completions=*/true);
+  const auto r = run_dense(easy_inspan, /*reference_mode=*/false);
   const std::uint64_t d = hash_result(r);
   RecordProperty("digest", std::to_string(d));
   std::printf("golden easy dense digest: 0x%016llx\n",
@@ -223,9 +223,9 @@ TEST(GoldenDeterminism, EasyDenseCompletionScenario) {
   EXPECT_EQ(r.walltime_kills + r.completed_jobs, r.jobs.size());
   EXPECT_EQ(d, kGoldenEasyDense);
 
-  sched::EasyBackfillScheduler easy_fenced;
-  const auto rf = run_dense(easy_fenced, /*span_completions=*/false);
-  EXPECT_EQ(hash_result(rf), d) << "fenced engine diverged from in-span kernel";
+  sched::EasyBackfillScheduler easy_reference;
+  const auto rr = run_dense(easy_reference, /*reference_mode=*/true);
+  EXPECT_EQ(hash_result(rr), d) << "reference loop diverged from in-span kernel";
 }
 
 }  // namespace

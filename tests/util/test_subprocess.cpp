@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -59,6 +60,34 @@ TEST(Subprocess, KillHardReapsAndIsIdempotent) {
   EXPECT_EQ(p.exit_code(), -1);  // signalled, not exited
   p.kill_hard();                 // no-op once reaped
   EXPECT_FALSE(p.running());
+}
+
+// A child's own children must not outlive kill_hard: a wrapper shell's
+// grandchild would otherwise keep the inherited pipes open for its whole
+// lifetime.
+TEST(Subprocess, KillHardTakesDownGrandchildren) {
+  Subprocess p =
+      Subprocess::spawn({"/bin/sh", "-c", "sleep 60 & echo $!; wait"});
+  LineChannel in(p.stdout_fd());
+  std::string line;
+  while (!in.next_line(line)) ASSERT_NE(in.fill(), LineChannel::Fill::Eof);
+  const std::string stat_path = "/proc/" + line + "/stat";
+  ASSERT_TRUE(std::ifstream(stat_path).good()) << "grandchild " << line;
+
+  p.kill_hard();
+  // Gone, or a zombie waiting for its new parent to reap it.
+  const auto alive = [&] {
+    std::ifstream stat(stat_path);
+    std::string text;
+    if (!std::getline(stat, text)) return false;
+    const auto close_paren = text.rfind(')');
+    return close_paren == std::string::npos || close_paren + 2 >= text.size() ||
+           text[close_paren + 2] != 'Z';
+  };
+  const MonotoneClock clock;
+  const Deadline deadline(clock.now_s(), 1.0);
+  while (alive() && !deadline.expired(clock.now_s())) ::usleep(10000);
+  EXPECT_FALSE(alive()) << "grandchild " << line << " survived kill_hard";
 }
 
 TEST(Subprocess, DefaultHandleIsInertlySafe) {
