@@ -1,19 +1,25 @@
 #include "sched/conservative.hpp"
 
 #include <algorithm>
+#include <limits>
 
-#include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
 
 namespace greenhpc::sched {
 
-CapacityProfile::CapacityProfile(Duration now, int free, int total) : now_(now) {
+CapacityProfile::CapacityProfile(Duration now, int free, int total) {
   GREENHPC_REQUIRE(free >= 0 && free <= total, "free nodes must be in [0, total]");
-  add_delta(now, free);
   // Capacity beyond `free` becomes available through add_release calls;
   // the ceiling is implicit in the deltas the caller registers.
-  (void)total;
+  reset(now, free);
+}
+
+void CapacityProfile::reset(Duration now, int free) {
+  GREENHPC_REQUIRE(free >= 0, "free nodes must be >= 0");
+  now_ = now;
+  deltas_.clear();
+  deltas_.emplace_back(now, free);
 }
 
 void CapacityProfile::add_delta(Duration time, int delta) {
@@ -43,29 +49,28 @@ int CapacityProfile::free_at(Duration t) const {
 
 Duration CapacityProfile::earliest_fit(int nodes, Duration duration) const {
   GREENHPC_REQUIRE(nodes >= 1, "fit query needs at least one node");
-  // Candidate start times are the breakpoints; for each, verify the level
-  // stays >= nodes across [start, start + duration).
-  for (std::size_t i = 0; i < deltas_.size(); ++i) {
-    const Duration start = deltas_[i].first;
-    if (start < now_) continue;
-    int level = 0;
-    for (std::size_t j = 0; j <= i; ++j) level += deltas_[j].second;
-    if (level < nodes) continue;
-    bool ok = true;
-    const Duration end = start + duration;
-    for (std::size_t j = i + 1; j < deltas_.size() && deltas_[j].first < end; ++j) {
-      level += deltas_[j].second;
-      if (level < nodes) {
-        ok = false;
-        break;
-      }
+  // The candidate is the first breakpoint at or after now_ since the level
+  // last dipped below `nodes`. A dip inside the candidate's window also
+  // fails every later breakpoint of the same run (their windows reach at
+  // least as far), so dropping the whole run and waiting for the next
+  // sufficient level finds the same first fit as trying each breakpoint.
+  int level = 0;
+  bool have = false;
+  Duration candidate;
+  for (const auto& [time, delta] : deltas_) {
+    if (have && time >= candidate + duration) return candidate;
+    level += delta;
+    if (time < now_) continue;
+    if (level < nodes) {
+      have = false;
+    } else if (!have) {
+      have = true;
+      candidate = time;
     }
-    if (ok) return start;
   }
-  // No breakpoint works: after the last breakpoint the level is the total
-  // sum; if that suffices the last breakpoint would have matched, so the
-  // request can never fit (larger than the machine's steady capacity).
-  return now_ + days(3650.0);
+  // Past the last breakpoint the level never changes again. With no
+  // candidate left the request exceeds the steady capacity and never fits.
+  return have ? candidate : now_ + days(3650.0);
 }
 
 void CapacityProfile::reserve(Duration start, Duration duration, int nodes) {
@@ -75,28 +80,47 @@ void CapacityProfile::reserve(Duration start, Duration duration, int nodes) {
 }
 
 void ConservativeBackfillScheduler::on_tick(hpcsim::SimulationView& view) {
-  const std::vector<hpcsim::JobId> pending = view.pending_jobs();
+  const std::vector<hpcsim::JobId>& pending = view.pending_jobs();
   if (pending.empty()) return;
-
-  CapacityProfile profile(view.now(), view.free_nodes(), view.cluster().nodes);
-  for (const auto& release : projected_releases(view)) {
-    profile.add_release(release.time, release.nodes);
+  const hpcsim::JobTable& table = view.job_table();
+  const std::size_t n = pending.size();
+  queue_.assign(pending.begin(), pending.end());
+  slots_.resize(n);
+  suffix_min_.resize(n);
+  int smallest = std::numeric_limits<int>::max();
+  for (std::size_t k = n; k-- > 0;) {
+    slots_[k] = view.slot_of(queue_[k]);
+    smallest = std::min(smallest, start_nodes(table, slots_[k]));
+    suffix_min_[k] = smallest;
   }
+  // Nothing from position k on can start once suffix_min_[k] exceeds the
+  // free count (see the class comment): stop there, or never build.
+  if (suffix_min_[0] > view.free_nodes()) return;
 
-  // Walk the queue in order; every job gets the earliest reservation the
-  // profile allows, and starts right away when that reservation is "now".
-  for (hpcsim::JobId id : pending) {
-    const auto& spec = view.spec(id);
-    const int nodes = start_nodes(spec);
-    const Duration start = profile.earliest_fit(nodes, spec.walltime);
+  profile_.reset(view.now(), view.free_nodes());
+  for (const ReleaseEvent& release : releases_.get(view)) {
+    profile_.add_release(release.time, release.nodes);
+  }
+  for (std::size_t k = 0; k < n && suffix_min_[k] <= view.free_nodes(); ++k) {
+    const int nodes = start_nodes(table, slots_[k]);
+    const Duration walltime = seconds(table.walltime_s[slots_[k]]);
+    const Duration start = profile_.earliest_fit(nodes, walltime);
     if (start <= view.now()) {
-      if (view.start(id, nodes)) {
-        profile.reserve(view.now(), spec.walltime, nodes);
+      if (view.start(queue_[k], nodes)) {
+        profile_.reserve(view.now(), walltime, nodes);
       }
     } else {
-      profile.reserve(start, spec.walltime, nodes);
+      profile_.reserve(start, walltime, nodes);
     }
   }
+}
+
+Duration ConservativeBackfillScheduler::quiescent_until(
+    const hpcsim::SimulationView& view) const {
+  if (view.pending_jobs().empty() || view.free_nodes() == 0) {
+    return hpcsim::quiescent_forever();
+  }
+  return earliest_projected_end(view);
 }
 
 }  // namespace greenhpc::sched

@@ -49,6 +49,17 @@ const std::vector<ReleaseEvent>& ReleaseCache::get(const hpcsim::SimulationView&
   return releases_;
 }
 
+Duration earliest_projected_end(const hpcsim::SimulationView& view) {
+  const hpcsim::JobTable& t = view.job_table();
+  double end_min_s = std::numeric_limits<double>::infinity();
+  for (const hpcsim::JobId id : view.running_jobs()) {
+    const std::size_t i = view.slot_of(id);
+    end_min_s = std::min(end_min_s, t.start_s[i] + t.walltime_s[i]);
+  }
+  const Duration end_min = seconds(end_min_s);
+  return end_min > view.now() ? end_min : view.now();
+}
+
 Reservation compute_reservation(Duration now, int free, int needed,
                                 const std::vector<ReleaseEvent>& releases) {
   Reservation r{now, 0};
@@ -157,8 +168,7 @@ void EasyBackfillScheduler::on_tick(hpcsim::SimulationView& view) {
   if (!scratch_.empty()) easy_pass(view, scratch_, shrink_moldable_, &releases_);
 }
 
-bool EasyBackfillScheduler::quiescent_over_release(
-    const hpcsim::SimulationView& view) const {
+bool no_pending_job_fits(const hpcsim::SimulationView& view, bool shrink_moldable) {
   const std::vector<hpcsim::JobId>& pending = view.pending_jobs();
   if (pending.empty()) return true;
   const int free = view.free_nodes();
@@ -171,7 +181,7 @@ bool EasyBackfillScheduler::quiescent_over_release(
     // below min_nodes). A job whose minimum exceeds the free count
     // cannot be started by the head pass or by backfill.
     int minimal = start_nodes(t, i);
-    if (shrink_moldable_ && t.kind[i] == hpcsim::JobKind::Moldable) {
+    if (shrink_moldable && t.kind[i] == hpcsim::JobKind::Moldable) {
       minimal = std::min(minimal, t.min_nodes[i]);
     }
     if (minimal <= free) return false;
@@ -186,16 +196,7 @@ Duration EasyBackfillScheduler::quiescent_until(
   // in-order pass nor backfill can act until something discrete releases
   // nodes (which ends the span through the engine's epoch gate).
   if (view.free_nodes() == 0) return hpcsim::quiescent_forever();
-  const hpcsim::JobTable& t = view.job_table();
-  double end_min_s = std::numeric_limits<double>::infinity();
-  for (const hpcsim::JobId id : view.running_jobs()) {
-    const std::size_t i = view.slot_of(id);
-    end_min_s = std::min(end_min_s, t.start_s[i] + t.walltime_s[i]);
-  }
-  const Duration end_min = seconds(end_min_s);
-  // A job already past its projected end makes the shadow slide with the
-  // clock: opt out (horizon = now keeps the engine tick-exact).
-  return end_min > view.now() ? end_min : view.now();
+  return earliest_projected_end(view);
 }
 
 }  // namespace greenhpc::sched

@@ -28,6 +28,18 @@ struct ReleaseEvent {
 [[nodiscard]] std::vector<ReleaseEvent> projected_releases(
     const hpcsim::SimulationView& view);
 
+/// Span horizon of the walltime-projected backfill policies: the earliest
+/// walltime-projected end of a running job (forever when none runs), or
+/// `now` when a job is already past it — its projected release then
+/// slides with the clock, so no horizon beyond the current tick is sound.
+[[nodiscard]] Duration earliest_projected_end(const hpcsim::SimulationView& view);
+
+/// True when no pending job can start: each one's smallest start size
+/// (the moldable floor with `shrink_moldable`) exceeds free_nodes(). The
+/// backfill policies' release attestation; reads only discrete state.
+[[nodiscard]] bool no_pending_job_fits(const hpcsim::SimulationView& view,
+                                       bool shrink_moldable);
+
 /// Shadow time and spare nodes of the EASY reservation for a job needing
 /// `needed` nodes given `free` nodes now and the release schedule.
 struct Reservation {
@@ -102,7 +114,9 @@ class EasyBackfillScheduler final : public hpcsim::SchedulingPolicy {
   /// When every pending job still needs more than free_nodes(), all
   /// three phases are proven no-ops and the span may continue.
   [[nodiscard]] bool quiescent_over_release(
-      const hpcsim::SimulationView& view) const override;
+      const hpcsim::SimulationView& view) const override {
+    return no_pending_job_fits(view, shrink_moldable_);
+  }
 
  private:
   bool shrink_moldable_;

@@ -13,7 +13,11 @@
 // small jobs, short tick) drive thousands of finishes through the in-span
 // event tick specifically. Combos with a telemetry sink compare every
 // recorded sample (the span's per-tick output path); combos with a
-// degraded intensity feed observe the feed inside spans.
+// degraded intensity feed observe the feed inside spans. Conservative
+// backfill runs the full clean/faults x dense/sparse/waves x plain/
+// telemetry/feed cross product; under periodic checkpointing its jobs
+// also overrun their walltime estimates, which drives its span horizon
+// down to `now` (the overrun fence).
 //
 // Both engines share the per-job step, so bit-identity alone no longer
 // checks the integration formula independently: each run is also checked
@@ -29,6 +33,8 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "carbon/forecast.hpp"
 #include "core/scenario.hpp"
@@ -36,10 +42,12 @@
 #include "resilience/checkpoint_policy.hpp"
 #include "resilience/degraded_feed.hpp"
 #include "sched/carbon_aware.hpp"
+#include "sched/conservative.hpp"
 #include "sched/decorators.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "telemetry/sensor_store.hpp"
+#include "testing/helpers.hpp"
 
 namespace greenhpc {
 namespace {
@@ -120,7 +128,9 @@ void expect_equivalent(const hpcsim::SimulationResult& ref,
 }
 
 struct Combo {
-  const char* scheduler;  // fcfs | easy | carbon-easy | easy+ydckpt | ckpt-dec
+  // fcfs | easy | carbon-easy | conservative | ckpt-dec, or any of the
+  // first four with "+ydckpt" (wrapped in periodic checkpointing)
+  const char* scheduler;
   std::uint64_t seed;
   int nodes;
   int jobs;
@@ -137,6 +147,11 @@ struct Combo {
   // Observe intensity through a DegradedFeed with outages (policies see
   // held values and a growing staleness clock; spans sample per tick).
   bool feed = false;
+  // Require some job to run past its walltime estimate (checkpoint
+  // overhead on a job whose estimate equals its runtime), so the
+  // backfill policies' overrun fence runs; the OverrunFence tests below
+  // build the rarer case where it changes a result.
+  bool overrun = false;
 };
 
 /// Readable test parameter (gtest would otherwise print raw bytes,
@@ -146,6 +161,7 @@ void PrintTo(const Combo& c, std::ostream* os) {
       << " jobs=" << c.jobs << " days=" << c.span_days << " faults=" << c.faults
       << " waves=" << c.waves << " telemetry=" << c.telemetry
       << " feed=" << c.feed;
+  if (c.overrun) *os << " overrun=1";
 }
 
 /// Both engines' telemetry stores must hold the same sensors with the
@@ -189,6 +205,7 @@ void expect_conserved(const hpcsim::SimulationResult& r, const char* engine) {
 std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name) {
   if (name == "fcfs") return std::make_unique<sched::FcfsScheduler>();
   if (name == "easy") return std::make_unique<sched::EasyBackfillScheduler>();
+  if (name == "conservative") return std::make_unique<sched::ConservativeBackfillScheduler>();
   if (name == "carbon-easy") {
     sched::CarbonAwareEasyScheduler::Config cc;
     cc.max_hold = hours(6.0);
@@ -253,8 +270,10 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
 
   std::unique_ptr<hpcsim::SchedulingPolicy> sched;
   std::unique_ptr<hpcsim::SchedulingPolicy> inner;
-  if (std::string(combo.scheduler) == "easy+ydckpt") {
-    inner = make_scheduler("easy");
+  const std::string name = combo.scheduler;
+  const std::string ydckpt = "+ydckpt";
+  if (name.ends_with(ydckpt)) {
+    inner = make_scheduler(name.substr(0, name.size() - ydckpt.size()));
     resilience::CheckpointPolicyConfig cp;
     cp.node_mtbf = hours(400.0);
     sched = std::make_unique<resilience::PeriodicCheckpointPolicy>(*inner, cp);
@@ -281,6 +300,13 @@ TEST_P(FastPathEquivalence, ReferenceAndFastPathsMatchBitForBit) {
   expect_conserved(fast, "fast");
   expect_equivalent(ref, fast);
   if (::testing::Test::HasFailure()) return;
+  if (combo.overrun) {
+    bool overran = false;
+    for (const auto& j : ref.jobs) {
+      overran = overran || j.finish - j.start > j.spec.walltime;
+    }
+    EXPECT_TRUE(overran) << "no job ran past its walltime estimate";
+  }
   if (combo.telemetry) {
     EXPECT_GT(ref_store.size(), 0u);
     expect_same_telemetry(ref_store, fast_store);
@@ -334,6 +360,87 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{"easy", 82, 64, 260, 0.5, false, true, false, true},
         Combo{"carbon-easy", 83, 32, 90, 0.5, true, false, true, true}),
     combo_name);
+
+// A job running past its walltime estimate is projected to release one
+// tick from now, so its release slides with the clock. In these two
+// scenarios in-place checkpoints push O past its estimate (60 min), and
+// its sliding release reaches R's fixed projected end one tick before R
+// ends, which opens a window for B at that tick. Nothing discrete happens
+// there; only the overrun fence (a span horizon of `now`) keeps the fast
+// path from integrating past it. Returns B's start (in minutes) under the
+// reference loop and the fast path.
+std::pair<double, double> overrun_scenario(const std::string& scheduler, int nodes,
+                                           int r_nodes, Duration r_end) {
+  using testing::rigid_job;
+  hpcsim::JobSpec overrun = rigid_job(1, seconds(0.0), 1, minutes(60.0));
+  overrun.walltime = overrun.runtime;
+  overrun.checkpointable = true;
+  overrun.checkpoint_overhead = minutes(10.0);
+  hpcsim::JobSpec fixed = rigid_job(2, seconds(0.0), r_nodes, r_end);
+  fixed.walltime = fixed.runtime;
+  const std::vector<hpcsim::JobSpec> jobs = {
+      overrun, fixed,
+      rigid_job(3, minutes(62.0), 2, hours(5.0)),    // A: waits for two nodes
+      rigid_job(4, minutes(62.0), 1, minutes(2.0)),  // B: a 3-minute walltime
+  };
+  double start_min[2] = {};
+  for (const bool reference : {true, false}) {
+    hpcsim::Simulator::Config cfg;
+    cfg.cluster = testing::small_cluster(nodes);
+    cfg.carbon_intensity = testing::constant_trace(200.0, days(2.0));
+    cfg.reference_mode = reference;
+    const auto inner = make_scheduler(scheduler);
+    resilience::CheckpointPolicyConfig cp;
+    cp.fixed_interval = minutes(30.0);
+    resilience::PeriodicCheckpointPolicy policy(*inner, cp);
+    const auto r = hpcsim::Simulator(cfg, jobs).run(policy);
+    EXPECT_GT(r.jobs[0].finish, r_end) << "O must outlive R's projected end";
+    start_min[reference ? 0 : 1] = r.jobs[3].start.minutes();
+  }
+  return {start_min[0], start_min[1]};
+}
+
+// Conservative: R (1 node) ends at 75 min. At 74 min O's release lands on
+// it, A's reservation moves onto 75 min and B fits [74, 77).
+TEST(OverrunFence, ConservativeReleaseSlidesOntoAFixedEnd) {
+  const auto [reference, fast] = overrun_scenario("conservative", 3, 1, minutes(75.0));
+  EXPECT_EQ(reference, 74.0);
+  EXPECT_EQ(fast, 74.0);
+}
+
+// EASY: R (2 nodes) ends at 74.5 min. At 74 min O's release (75 min) sorts
+// after R's, so A's shadow moves to 74.5 min with one spare node: B
+// backfills into it.
+TEST(OverrunFence, EasyReleaseSlidesPastAFixedEnd) {
+  const auto [reference, fast] = overrun_scenario("easy", 4, 2, minutes(74.5));
+  EXPECT_EQ(reference, 74.0);
+  EXPECT_EQ(fast, 74.0);
+}
+
+/// Conservative backfill over clean/faults x dense/sparse/waves x
+/// plain/telemetry/feed, two seeds each, plus overrun combos.
+std::vector<Combo> conservative_combos() {
+  std::vector<Combo> combos;
+  std::uint64_t seed = 101;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (const bool faults : {false, true}) {
+      for (int obs = 0; obs < 3; ++obs) {
+        const bool telemetry = obs == 1;
+        const bool feed = obs == 2;
+        combos.push_back({"conservative", seed++, rep == 0 ? 32 : 48, rep == 0 ? 90 : 140,
+                          0.5, faults, false, telemetry, feed});
+        combos.push_back({"conservative", seed++, 16, 30, 4.0, faults, false, telemetry, feed});
+        combos.push_back({"conservative", seed++, 64, 260, 0.5, faults, true, telemetry, feed});
+      }
+    }
+  }
+  combos.push_back({"conservative+ydckpt", 141, 32, 90, 0.5, false, false, false, false, true});
+  combos.push_back({"conservative+ydckpt", 142, 16, 40, 4.0, true, false, false, false, true});
+  return combos;
+}
+
+INSTANTIATE_TEST_SUITE_P(Conservative, FastPathEquivalence,
+                         ::testing::ValuesIn(conservative_combos()), combo_name);
 
 }  // namespace
 }  // namespace greenhpc

@@ -10,9 +10,10 @@
 //
 // Covers a fault-free FCFS run, a fault-free carbon-aware EASY run (the
 // two extremes of policy complexity), a fault-injected EASY run (the
-// victim-draw and requeue machinery) and a completion-dense EASY run
-// (the in-span completion kernel, cross-checked against the reference
-// per-tick loop).
+// victim-draw and requeue machinery), a completion-dense EASY run (the
+// in-span completion kernel, cross-checked against the reference
+// per-tick loop) and conservative backfill with and without faults (its
+// capacity profile, pruned walk and span attestations).
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "core/scenario.hpp"
 #include "hpcsim/simulator.hpp"
 #include "sched/carbon_aware.hpp"
+#include "sched/conservative.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 
@@ -173,6 +175,10 @@ constexpr std::uint64_t kGoldenEasyFaults = 0x83eb17206180faa9ull;
 // kernel (the test also asserts the reference loop reproduces it, so a
 // drift in either path fails).
 constexpr std::uint64_t kGoldenEasyDense = 0xf8aadb5c80df7733ull;
+// Conservative backfill, recorded with the quadratic earliest_fit, the
+// unpruned walk and no span attestations (every tick on the per-tick path).
+constexpr std::uint64_t kGoldenConservative = 0x42794f2299494980ull;
+constexpr std::uint64_t kGoldenConservativeFaults = 0x665f5ba71416157full;
 
 TEST(GoldenDeterminism, FcfsReferenceScenario) {
   sched::FcfsScheduler fcfs;
@@ -207,6 +213,27 @@ TEST(GoldenDeterminism, EasyWithInjectedFaults) {
               static_cast<unsigned long long>(d));
   EXPECT_GT(r.node_failures, 0);
   EXPECT_EQ(d, kGoldenEasyFaults);
+}
+
+TEST(GoldenDeterminism, ConservativeReferenceScenario) {
+  sched::ConservativeBackfillScheduler cons;
+  const auto r = run_golden(cons, /*with_faults=*/false);
+  const std::uint64_t d = hash_result(r);
+  RecordProperty("digest", std::to_string(d));
+  std::printf("golden conservative digest: 0x%016llx\n",
+              static_cast<unsigned long long>(d));
+  EXPECT_EQ(d, kGoldenConservative);
+}
+
+TEST(GoldenDeterminism, ConservativeWithInjectedFaults) {
+  sched::ConservativeBackfillScheduler cons;
+  const auto r = run_golden(cons, /*with_faults=*/true);
+  const std::uint64_t d = hash_result(r);
+  RecordProperty("digest", std::to_string(d));
+  std::printf("golden conservative+faults digest: 0x%016llx\n",
+              static_cast<unsigned long long>(d));
+  EXPECT_GT(r.node_failures, 0);
+  EXPECT_EQ(d, kGoldenConservativeFaults);
 }
 
 // The completion-dense regime: thousands of single-node finishes resolve

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "procure/optimizer.hpp"
+#include "testing/param_print.hpp"
 #include "util/rng.hpp"
 
 namespace greenhpc::procure {
@@ -16,6 +19,12 @@ struct OptimizerCase {
   double power_kw;
   double carbon_t;
 };
+
+void PrintTo(const OptimizerCase& c, std::ostream* os) {
+  greenhpc::testing::print_zero_padded(c, os, &OptimizerCase::seed, &OptimizerCase::types,
+                                       &OptimizerCase::cost_budget, &OptimizerCase::power_kw,
+                                       &OptimizerCase::carbon_t);
+}
 
 class OptimizerProperties : public ::testing::TestWithParam<OptimizerCase> {
  protected:

@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <ostream>
 
@@ -20,6 +17,7 @@
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "testing/helpers.hpp"
+#include "testing/param_print.hpp"
 
 namespace greenhpc::sched {
 namespace {
@@ -83,22 +81,8 @@ struct SchedCase {
   std::uint64_t seed;
 };
 
-// Without a printer gtest names each test after a dump of the parameter's
-// bytes, and SchedCase's four padding bytes hold whatever the stack held,
-// so the names changed from build to build. Print the same dump with the
-// padding zeroed: the names keep their form and stay fixed.
 void PrintTo(const SchedCase& c, std::ostream* os) {
-  unsigned char bytes[sizeof(SchedCase)] = {};
-  std::memcpy(bytes + offsetof(SchedCase, policy), &c.policy, sizeof(c.policy));
-  std::memcpy(bytes + offsetof(SchedCase, seed), &c.seed, sizeof(c.seed));
-  *os << sizeof(SchedCase) << "-byte object <";
-  for (std::size_t i = 0; i < sizeof(bytes); ++i) {
-    if (i > 0) *os << (i % 2 == 0 ? ' ' : '-');
-    char hex[3];
-    std::snprintf(hex, sizeof(hex), "%02X", static_cast<unsigned>(bytes[i]));
-    *os << hex;
-  }
-  *os << '>';
+  greenhpc::testing::print_zero_padded(c, os, &SchedCase::policy, &SchedCase::seed);
 }
 
 class SchedulerProperties : public ::testing::TestWithParam<SchedCase> {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include <memory>
 #include <tuple>
 
@@ -11,6 +13,7 @@
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "testing/helpers.hpp"
+#include "testing/param_print.hpp"
 
 namespace greenhpc::hpcsim {
 namespace {
@@ -22,6 +25,10 @@ struct SimCase {
   int nodes;
   bool easy;  // EASY vs FCFS
 };
+
+void PrintTo(const SimCase& c, std::ostream* os) {
+  greenhpc::testing::print_zero_padded(c, os, &SimCase::seed, &SimCase::nodes, &SimCase::easy);
+}
 
 class SimulatorProperties : public ::testing::TestWithParam<SimCase> {
  protected:

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "powerstack/budget_tree.hpp"
+#include "testing/param_print.hpp"
 #include "util/rng.hpp"
 
 namespace greenhpc::powerstack {
@@ -16,6 +19,12 @@ struct TreeCase {
   int gpus;
   double budget_fraction;  // of the tree's aggregate max
 };
+
+void PrintTo(const TreeCase& c, std::ostream* os) {
+  greenhpc::testing::print_zero_padded(c, os, &TreeCase::seed, &TreeCase::jobs,
+                                       &TreeCase::nodes_per_job, &TreeCase::gpus,
+                                       &TreeCase::budget_fraction);
+}
 
 class WaterFillProperties : public ::testing::TestWithParam<TreeCase> {
  protected:

@@ -13,7 +13,7 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
 set(SWEEP_ARGS sweep --quiet --regions DE,FR --kinds average --nodes 64
-    --jobs 60 --days 1 --replicas 2 --sched easy,carbon-easy --block 4)
+    --jobs 60 --days 1 --replicas 2 --sched easy,carbon-easy,conservative --block 4)
 
 function(run_sweep out_var)
   execute_process(
