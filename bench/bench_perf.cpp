@@ -8,7 +8,10 @@
 // sweep scaling and to assert that parallel fan-out reproduces the serial
 // results bit for bit. A final pass re-runs the reference hot loop with
 // the event tracer enabled and reports the overhead ratio plus a
-// span-derived phase breakdown ("tracing" block in the JSON).
+// span-derived phase breakdown ("tracing" block in the JSON). Last, one
+// sweep grid is timed under EASY and under conservative backfill, so the
+// cost of the more expensive policy is a ratio taken within the run
+// ("backfill" block).
 //
 // Usage: bench_perf [--smoke] [--json-out FILE] [--baseline FILE]
 //                   [--before FILE]
@@ -16,7 +19,8 @@
 //   --json-out FILE  write the JSON report there (default BENCH_PERF.json;
 //                    --out is accepted as an alias)
 //   --baseline   compare against a committed baseline JSON; exit nonzero
-//                on a >2x ticks/s regression of the reference hot loop
+//                on a >2x ticks/s regression of the reference hot loop or
+//                when a within-run ratio gate fails
 //   --before     merge pre-optimization measurements (keys like
 //                "small_fcfs_ticks_per_s", see bench/perf_seed_reference.json)
 //                into the report as per-sample "speedup_vs_before" ratios
@@ -35,8 +39,10 @@
 
 #include "bench_common.hpp"
 #include "carbon/forecast.hpp"
+#include "core/sweep.hpp"
 #include "obs/trace.hpp"
 #include "sched/carbon_aware.hpp"
+#include "sched/conservative.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/parallel.hpp"
@@ -239,6 +245,65 @@ std::vector<core::ScenarioRunner::PolicyCase> sweep_cases() {
                      }});
   }
   return cases;
+}
+
+// --- backfill cost: conservative vs EASY on one sweep grid ---
+// The grid of `greenhpc sweep --regions DE --nodes 128 --jobs 600 --days 3
+// --replicas 16 --threads 1`: backlogged enough that conservative
+// backfill's capacity profile and per-job reservations do real work.
+
+/// Conservative backfill may cost at most this many times EASY on the
+/// backfill grid (within-run ratio, --baseline gate). It measured about
+/// 8x on a 4-vCPU VM with the one-pass capacity profile, about 280x with
+/// the quadratic one.
+constexpr double kMaxBackfillCostRatio = 20.0;
+constexpr int kBackfillRepeats = 3;
+
+core::SweepGrid backfill_grid(const char* policy, core::SchedulerFactory factory) {
+  core::SweepGrid grid;
+  grid.base.cluster.nodes = 128;
+  grid.base.trace_span = days(6.0);
+  grid.base.workload.span = days(3.0);
+  grid.base.workload.job_count = 600;
+  grid.base.workload.max_job_nodes = 32;
+  grid.base.seed = 2023;
+  grid.regions = {carbon::Region::Germany};
+  grid.seed_replicas = 16;
+  grid.policies.push_back({policy, std::move(factory), nullptr});
+  return grid;
+}
+
+struct BackfillSample {
+  const char* scheduler;
+  double wall_s = 1e300;  ///< best of kBackfillRepeats
+  std::uint64_t digest = 0;
+  bool stable = true;     ///< same digest on every repeat
+};
+
+/// Time the backfill grid under EASY and conservative on a one-thread
+/// pool, best of kBackfillRepeats each, the two policies interleaved so
+/// clock drift and allocator state hit both alike.
+std::vector<BackfillSample> measure_backfill_cost() {
+  const core::SweepGrid grids[] = {
+      backfill_grid("easy", [] { return std::make_unique<sched::EasyBackfillScheduler>(); }),
+      backfill_grid("conservative",
+                    [] { return std::make_unique<sched::ConservativeBackfillScheduler>(); }),
+  };
+  std::vector<BackfillSample> samples = {{"easy"}, {"conservative"}};
+  util::ThreadPool pool(1);
+  core::SweepEngine::Options opts;
+  opts.pool = &pool;
+  const core::SweepEngine engine(opts);
+  for (int rep = 0; rep < kBackfillRepeats; ++rep) {
+    for (std::size_t p = 0; p < samples.size(); ++p) {
+      const auto t0 = Clock::now();
+      const core::SweepResult result = engine.run(grids[p]);
+      samples[p].wall_s = std::min(samples[p].wall_s, seconds_since(t0));
+      if (rep > 0 && result.digest != samples[p].digest) samples[p].stable = false;
+      samples[p].digest = result.digest;
+    }
+  }
+  return samples;
 }
 
 /// Fixed unit of work for the crossover probe: enough arithmetic
@@ -497,6 +562,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(traced_dropped));
   obs::Tracer::reset();
 
+  // --- backfill cost ---
+  const std::vector<BackfillSample> backfill = measure_backfill_cost();
+  const double backfill_ratio = backfill[1].wall_s / backfill[0].wall_s;
+  const bool backfill_stable = backfill[0].stable && backfill[1].stable;
+  for (const auto& b : backfill) {
+    std::printf("Backfill cost (DE, 128 nodes, 600 jobs, 3 days, 16 replicas): "
+                "%-12s best %.3f s of %d, digest %016llx%s\n",
+                b.scheduler, b.wall_s, kBackfillRepeats,
+                static_cast<unsigned long long>(b.digest),
+                b.stable ? "" : " (CHANGED between repeats)");
+  }
+  std::printf("Backfill cost: conservative / easy = %.1fx\n\n", backfill_ratio);
+
   // --- JSON report ---
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -566,9 +644,17 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]},\n");
   std::fprintf(f,
                "  \"crossover\": {\"serial_fallback\": %s, \"crossover_n\": %zu, "
-               "\"unit_us\": %.2f}\n}\n",
+               "\"unit_us\": %.2f},\n",
                crossover.serial_fallback ? "true" : "false", crossover.crossover_n,
                crossover.unit_us);
+  std::fprintf(f,
+               "  \"backfill\": {\"easy_s\": %.6f, \"conservative_s\": %.6f, "
+               "\"ratio\": %.2f, \"easy_digest\": \"%016llx\", "
+               "\"conservative_digest\": \"%016llx\", \"stable\": %s}\n}\n",
+               backfill[0].wall_s, backfill[1].wall_s, backfill_ratio,
+               static_cast<unsigned long long>(backfill[0].digest),
+               static_cast<unsigned long long>(backfill[1].digest),
+               backfill_stable ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -580,6 +666,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: in-span completion engine diverged from the reference "
                  "loop on the dense scale\n");
+    return 1;
+  }
+  if (!backfill_stable) {
+    std::fprintf(stderr, "FAIL: a backfill-cost sweep digest changed between repeats\n");
     return 1;
   }
 
@@ -652,6 +742,17 @@ int main(int argc, char** argv) {
                    "FAIL: in-span completion kernel less than 2x faster than "
                    "the reference loop on the dense scale (%.2fx < 2.0x)\n",
                    dense_min_speedup);
+      return 1;
+    }
+    // Backfill gate: conservative backfill must stay within a constant
+    // factor of EASY on the same grid, a ratio taken within this run.
+    std::printf("Baseline gate: backfill conservative/easy cost %.1fx (gate <= %.0fx)\n",
+                backfill_ratio, kMaxBackfillCostRatio);
+    if (backfill_ratio > kMaxBackfillCostRatio) {
+      std::fprintf(stderr,
+                   "FAIL: conservative backfill costs %.1fx EASY on the backfill "
+                   "grid (> %.0fx)\n",
+                   backfill_ratio, kMaxBackfillCostRatio);
       return 1;
     }
   }

@@ -8,13 +8,6 @@
 
 namespace greenhpc::sched {
 
-CapacityProfile::CapacityProfile(Duration now, int free, int total) {
-  GREENHPC_REQUIRE(free >= 0 && free <= total, "free nodes must be in [0, total]");
-  // Capacity beyond `free` becomes available through add_release calls;
-  // the ceiling is implicit in the deltas the caller registers.
-  reset(now, free);
-}
-
 void CapacityProfile::reset(Duration now, int free) {
   GREENHPC_REQUIRE(free >= 0, "free nodes must be >= 0");
   now_ = now;

@@ -21,12 +21,13 @@ class CapacityProfile {
  public:
   /// Empty profile; reset() it before use.
   CapacityProfile() = default;
-  /// Profile starting at `now` with `free` nodes available immediately and
-  /// `total` nodes as the capacity ceiling after all running jobs drain.
-  CapacityProfile(Duration now, int free, int total);
+  /// Profile starting at `now` with `free` nodes available immediately;
+  /// same as reset(now, free) on an empty profile.
+  CapacityProfile(Duration now, int free) { reset(now, free); }
 
   /// Restart at `now` with `free` nodes and no releases or reservations,
-  /// keeping the breakpoint storage.
+  /// keeping the breakpoint storage. Capacity beyond `free` arrives
+  /// through add_release().
   void reset(Duration now, int free);
   /// Register a projected release of `nodes` at `time`.
   void add_release(Duration time, int nodes);

@@ -25,20 +25,20 @@ using greenhpc::testing::small_cluster;
 using hpcsim::Simulator;
 
 TEST(CapacityProfile, ImmediateFit) {
-  CapacityProfile p(hours(1.0), 8, 8);
+  CapacityProfile p(hours(1.0), 8);
   EXPECT_EQ(p.earliest_fit(4, hours(2.0)), hours(1.0));
   EXPECT_EQ(p.free_at(hours(1.0)), 8);
 }
 
 TEST(CapacityProfile, WaitsForRelease) {
-  CapacityProfile p(hours(0.0), 2, 8);
+  CapacityProfile p(hours(0.0), 2);
   p.add_release(hours(3.0), 6);
   EXPECT_EQ(p.earliest_fit(4, hours(1.0)), hours(3.0));
   EXPECT_EQ(p.earliest_fit(2, hours(1.0)), hours(0.0));
 }
 
 TEST(CapacityProfile, ReservationCarvesCapacity) {
-  CapacityProfile p(hours(0.0), 8, 8);
+  CapacityProfile p(hours(0.0), 8);
   p.reserve(hours(0.0), hours(2.0), 6);
   // Only 2 free until t=2h.
   EXPECT_EQ(p.free_at(hours(1.0)), 2);
@@ -47,7 +47,7 @@ TEST(CapacityProfile, ReservationCarvesCapacity) {
 }
 
 TEST(CapacityProfile, FitMustHoldForWholeDuration) {
-  CapacityProfile p(hours(0.0), 8, 8);
+  CapacityProfile p(hours(0.0), 8);
   // Future reservation at t=2h takes 6 nodes for 2h.
   p.reserve(hours(2.0), hours(2.0), 6);
   // A 4-node job lasting 3h cannot start at t=0 (would overlap), nor at
@@ -58,13 +58,13 @@ TEST(CapacityProfile, FitMustHoldForWholeDuration) {
 }
 
 TEST(CapacityProfile, ImpossibleRequestsGoFarFuture) {
-  CapacityProfile p(hours(0.0), 4, 4);
+  CapacityProfile p(hours(0.0), 4);
   EXPECT_GT(p.earliest_fit(16, hours(1.0)), days(1000.0));
 }
 
 TEST(CapacityProfile, Preconditions) {
-  EXPECT_THROW(CapacityProfile(hours(0.0), -1, 4), greenhpc::InvalidArgument);
-  CapacityProfile p(hours(0.0), 4, 4);
+  EXPECT_THROW(CapacityProfile(hours(0.0), -1), greenhpc::InvalidArgument);
+  CapacityProfile p(hours(0.0), 4);
   EXPECT_THROW(p.add_release(hours(1.0), -2), greenhpc::InvalidArgument);
   EXPECT_THROW((void)p.earliest_fit(0, hours(1.0)), greenhpc::InvalidArgument);
   EXPECT_THROW(p.reserve(hours(0.0), seconds(0.0), 1), greenhpc::InvalidArgument);
@@ -109,7 +109,7 @@ void expect_fit_matches_oracle(const CapacityProfile& p, Duration now, int nodes
 }
 
 TEST(CapacityProfile, ZeroDeltaBreakpointFromMergedReservations) {
-  CapacityProfile p(hours(0.0), 4, 8);
+  CapacityProfile p(hours(0.0), 4);
   p.add_release(hours(4.0), 4);
   // One reservation ends at 2h exactly where the next begins: the +3/-3
   // merge leaves a zero-delta breakpoint at 2h.
@@ -126,7 +126,7 @@ TEST(CapacityProfile, ZeroDeltaBreakpointFromMergedReservations) {
 }
 
 TEST(CapacityProfile, ReservationStartingAtNow) {
-  CapacityProfile p(hours(1.0), 6, 8);
+  CapacityProfile p(hours(1.0), 6);
   p.add_release(hours(2.0), 2);
   p.reserve(hours(1.0), hours(3.0), 5);  // one node left until 4h
   EXPECT_EQ(p.earliest_fit(1, hours(9.0)), hours(1.0));
@@ -138,7 +138,7 @@ TEST(CapacityProfile, ReservationStartingAtNow) {
 }
 
 TEST(CapacityProfile, FitsExactlyAtTheLastBreakpoint) {
-  CapacityProfile p(hours(0.0), 1, 8);
+  CapacityProfile p(hours(0.0), 1);
   p.add_release(hours(1.0), 2);
   p.add_release(hours(5.0), 5);
   EXPECT_EQ(p.earliest_fit(8, hours(100.0)), hours(5.0));
@@ -147,7 +147,7 @@ TEST(CapacityProfile, FitsExactlyAtTheLastBreakpoint) {
 }
 
 TEST(CapacityProfile, WindowEndingOnABreakpointIsOpenAtTheEnd) {
-  CapacityProfile p(hours(0.0), 4, 4);
+  CapacityProfile p(hours(0.0), 4);
   p.reserve(hours(2.0), hours(1.0), 4);
   // [0, 2h) touches the drop at 2h only at its open end: fits at 0.
   EXPECT_EQ(p.earliest_fit(4, hours(2.0)), hours(0.0));
@@ -158,7 +158,7 @@ TEST(CapacityProfile, WindowEndingOnABreakpointIsOpenAtTheEnd) {
 }
 
 TEST(CapacityProfile, RequestWiderThanTheMachineNeverFits) {
-  CapacityProfile p(hours(2.0), 3, 8);
+  CapacityProfile p(hours(2.0), 3);
   p.add_release(hours(4.0), 5);
   EXPECT_EQ(p.earliest_fit(9, hours(1.0)), hours(2.0) + days(3650.0));
   expect_fit_matches_oracle(p, hours(2.0), 9, hours(1.0));
@@ -178,7 +178,7 @@ TEST(CapacityProfile, OnePassFitMatchesQuadraticOracle) {
     const int total = static_cast<int>(rng.uniform_int(1, 12));
     const Duration now = hours(static_cast<double>(rng.uniform_int(0, 3)));
     int free = static_cast<int>(rng.uniform_int(0, total));
-    CapacityProfile p(now, free, total);
+    CapacityProfile p(now, free);
     // Releases (some before now, clamped onto it) until the machine drains.
     while (free < total) {
       const int n = static_cast<int>(rng.uniform_int(1, total - free));
@@ -292,7 +292,7 @@ class UnprunedConservative final : public hpcsim::SchedulingPolicy {
   void on_tick(hpcsim::SimulationView& view) override {
     const std::vector<hpcsim::JobId> pending = view.pending_jobs();
     if (pending.empty()) return;
-    CapacityProfile profile(view.now(), view.free_nodes(), view.cluster().nodes);
+    CapacityProfile profile(view.now(), view.free_nodes());
     for (const auto& release : projected_releases(view)) {
       profile.add_release(release.time, release.nodes);
     }
