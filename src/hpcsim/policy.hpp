@@ -64,6 +64,16 @@ class SimulationView {
 
   // --- observation ---
   [[nodiscard]] virtual Duration now() const = 0;
+  /// Discrete-mutation epoch: changes on every discrete mutation (a job
+  /// entering or leaving a queue, an allocation change, a checkpoint, a
+  /// node going down or coming back) and stays put while only the clock,
+  /// the intensity signal and the continuous job columns move. No value
+  /// is ever shown by two Simulators in one process, so a policy reused
+  /// across runs cannot mistake one run's state for another's. A policy
+  /// may key on it only state derived from discrete state (queues,
+  /// allocations, start times, static specs); anything that also reads
+  /// the clock needs its own validity check (see sched::ReleaseCache).
+  [[nodiscard]] virtual std::uint64_t discrete_epoch() const = 0;
   [[nodiscard]] virtual const ClusterConfig& cluster() const = 0;
   /// Nodes not currently allocated to any job.
   [[nodiscard]] virtual int free_nodes() const = 0;

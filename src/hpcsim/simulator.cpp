@@ -1,6 +1,7 @@
 #include "hpcsim/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "obs/metrics.hpp"
@@ -116,6 +117,11 @@ Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
   table_.alloc_nodes = {core_.alloc_nodes, n};
 }
 
+std::uint64_t Simulator::reserve_epoch_block() {
+  static std::atomic<std::uint64_t> next_block{0};
+  return next_block.fetch_add(1, std::memory_order_relaxed) * kEpochBlock;
+}
+
 std::size_t Simulator::slot_index_slow(JobId id) const {
   const auto it = index_.find(id);
   GREENHPC_REQUIRE(it != index_.end(), "unknown job id");
@@ -129,7 +135,7 @@ void Simulator::list_push(std::vector<JobId>& list, Queue kind, JobId id) {
   s.list_pos = static_cast<std::int32_t>(list.size());
   list.push_back(id);
   if (&list == &running_) running_slots_.push_back(idx);
-  ++epoch_;
+  bump_epoch();
 }
 
 void Simulator::list_erase(std::vector<JobId>& list, JobId id) {
@@ -147,7 +153,7 @@ void Simulator::list_erase(std::vector<JobId>& list, JobId id) {
   }
   s.queue = Queue::None;
   s.list_pos = -1;
-  ++epoch_;
+  bump_epoch();
 }
 
 int Simulator::busy_nodes_of(std::size_t i) const {
@@ -299,7 +305,7 @@ bool Simulator::checkpoint(JobId id) {
       core_.ckpt_overhead_s[i] * static_cast<double>(core_.nodes_used[i]);
   s.info.energy_mark = joules(core_.energy_j[i]);
   s.info.carbon_mark = grams_co2(core_.carbon_g[i]);
-  ++epoch_;
+  bump_epoch();
   static obs::Counter& checkpoints = sim_counter("sim.checkpoints");
   checkpoints.add();
   return true;
@@ -331,7 +337,7 @@ bool Simulator::reshape(JobId id, int nodes) {
   if (delta > free_nodes_) return false;
   free_nodes_ -= delta;
   core_.alloc_nodes[i] = nodes;
-  ++epoch_;
+  bump_epoch();
   static obs::Counter& reshapes = sim_counter("sim.reshapes");
   reshapes.add();
   return true;
@@ -389,7 +395,7 @@ void Simulator::fail_one_node() {
   const std::int64_t r = victim_rng_.uniform_int(0, up - 1);
   if (r < free_nodes_) {
     --free_nodes_;
-    ++epoch_;
+    bump_epoch();
     return;
   }
   std::int64_t acc = free_nodes_;
@@ -398,7 +404,7 @@ void Simulator::fail_one_node() {
     if (r < acc) {
       fail_job(running_[j]);  // releases the job's whole allocation...
       --free_nodes_;          // ...then the failed node itself goes down
-      ++epoch_;
+      bump_epoch();
       return;
     }
   }
@@ -418,7 +424,7 @@ void Simulator::advance_faults() {
     if (repairs_[i] <= now_) {
       --nodes_down_;
       ++free_nodes_;
-      ++epoch_;
+      bump_epoch();
     } else {
       repairs_[w++] = repairs_[i];
     }
@@ -651,7 +657,7 @@ void Simulator::integrate_tick() {
     ++w;
   }
   if (w < nrun) {
-    ++epoch_;
+    bump_epoch();
     running_.resize(w);
     running_slots_.resize(w);
   }
@@ -1006,7 +1012,7 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
     }
     ++w;
   }
-  if (w < k) ++epoch_;
+  if (w < k) bump_epoch();
   running_.resize(w);
   running_slots_.resize(w);
   k = w;

@@ -102,6 +102,10 @@ class Simulator final : public SimulationView {
   Simulator(Config config, std::vector<JobSpec> jobs)
       : Simulator(std::move(config),
                   util::Shared<std::vector<JobSpec>>(std::move(jobs))) {}
+  /// Not copyable: the policy-facing columns point into this instance's
+  /// arena, and a copy would repeat its discrete epochs.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Run to completion under the given policies. `power` may be null for
   /// an unconstrained system. May be called once per Simulator instance.
@@ -109,6 +113,7 @@ class Simulator final : public SimulationView {
 
   // --- SimulationView ---
   [[nodiscard]] Duration now() const override { return now_; }
+  [[nodiscard]] std::uint64_t discrete_epoch() const override { return epoch_; }
   [[nodiscard]] const ClusterConfig& cluster() const override { return cfg_.cluster; }
   [[nodiscard]] int free_nodes() const override { return free_nodes_; }
   [[nodiscard]] int nodes_down() const override { return nodes_down_; }
@@ -283,6 +288,16 @@ class Simulator final : public SimulationView {
   /// completion; see DESIGN.md).
   void flush_job_counters();
 
+  /// Epochs per block: a Simulator draws a fresh block when it has used
+  /// its current one up, so 2^40 Simulators fit before the source wraps.
+  static constexpr std::uint64_t kEpochBlock = std::uint64_t{1} << 24;
+  /// First epoch of a block no Simulator in this process has drawn yet.
+  static std::uint64_t reserve_epoch_block();
+  /// Record a discrete mutation.
+  void bump_epoch() {
+    if ((++epoch_ & (kEpochBlock - 1)) == 0) epoch_ = reserve_epoch_block();
+  }
+
   // --- fault machinery (all no-ops with an empty failure schedule) ---
   /// Return repaired nodes to service, apply due failure events, release
   /// requeued jobs whose backoff expired.
@@ -337,8 +352,10 @@ class Simulator final : public SimulationView {
   /// (phase-list membership, allocations, checkpoints, node up/down).
   /// The span kernel is gated on the epoch being unchanged since just
   /// before the last on_tick — i.e. the policy saw exactly this state
-  /// and did nothing.
-  std::uint64_t epoch_ = 0;
+  /// and did nothing. Values come from blocks of kEpochBlock drawn from a
+  /// process-wide source, so no two Simulators ever show the same epoch
+  /// (policies key caches on it through discrete_epoch()).
+  std::uint64_t epoch_ = reserve_epoch_block();
   std::uint64_t epoch_before_sched_ = ~std::uint64_t{0};
 
   /// Batched obs-counter deltas (per-completion events accumulate here

@@ -11,11 +11,20 @@
 //   started.add();
 //
 // Returned references stay valid for the registry's lifetime (entries are
-// never erased; reset() zeroes values but keeps the objects). All update
-// paths are single relaxed atomic RMWs (CAS loop for doubles), safe from
-// any thread.
+// never erased; reset() zeroes values but keeps the objects). Every update
+// path is safe from any thread and takes no lock:
+//  - Counter::add is one relaxed fetch_add on the calling thread's stripe:
+//    each counter owns Counter::kStripes cells, one 64-byte cache line
+//    each (512 bytes per counter), and value() sums them. Threads pick a
+//    stripe round-robin on their first add, so up to kStripes threads
+//    (sweep pool lanes, the main thread) never share a line, and two
+//    counters never share one either.
+//  - Gauge and Histogram updates are relaxed atomic RMWs on one shared
+//    value (a CAS loop for doubles); they sit off the per-tick path.
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -28,19 +37,39 @@
 
 namespace greenhpc::obs {
 
-/// Monotone event count.
+/// Monotone event count, striped over cache-line-padded per-thread cells
+/// (see the file comment): add() touches only the caller's cell, value()
+/// sums all of them.
 class Counter {
  public:
+  static constexpr std::size_t kStripes = 8;
+
   void add(std::uint64_t delta = 1) {
-    v_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[stripe()].v.fetch_add(delta, std::memory_order_relaxed);
   }
+  /// Sum over the stripes. Adds racing with the read land in this value
+  /// or the next; a quiescent counter reads exactly.
   [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
+    return total;
   }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void reset() {
+    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> v{0};
+  };
+  /// The calling thread's cell, assigned round-robin on first use.
+  static std::size_t stripe() {
+    thread_local const std::size_t s =
+        next_stripe_.fetch_add(1, std::memory_order_relaxed) % kStripes;
+    return s;
+  }
+  static inline std::atomic<std::size_t> next_stripe_{0};
+  std::array<Cell, kStripes> cells_;
 };
 
 /// Last-written (or accumulated) double value.

@@ -79,9 +79,11 @@ bool CarbonAwareEasyScheduler::greener_period_ahead(
 }
 
 void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
-  pending_scratch_ = view.pending_jobs();  // snapshot: start() mutates the queue
-  const std::vector<hpcsim::JobId>& pending = pending_scratch_;
+  // easy_pass starts jobs, which mutates the pending queue, so every path
+  // below hands it a copy: the queue itself, or the jobs not held.
+  const std::vector<hpcsim::JobId>& pending = view.pending_jobs();
   if (pending.empty()) return;
+  std::vector<hpcsim::JobId>& eligible = eligible_scratch_;
 
   // Degraded-feed fallback: past the staleness horizon the held value is
   // no longer trustworthy, so drop to carbon-blind EASY rather than gate
@@ -90,53 +92,58 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
     static obs::Counter& stale_ticks =
         obs::Registry::global().counter("sched.carbon.stale_fallback_ticks");
     stale_ticks.add();
-    easy_pass(view, pending, /*shrink_moldable=*/false, &releases_);
+    eligible.assign(pending.begin(), pending.end());
+    easy_pass(view, eligible, /*shrink_moldable=*/false, &releases_);
     return;
   }
 
-  const double threshold = incremental_threshold(view);
-  const bool green_now = view.carbon_intensity_now() <= threshold;
-
-  // Queue-pressure guard: holding jobs while the backlog is deep only
-  // trades wait time for no carbon benefit (the machine will be full
-  // either way), so the gate opens under pressure.
-  const hpcsim::JobTable& table = view.job_table();
-  double backlog_nodes = 0.0;
-  const double backlog_limit =
-      cfg_.backlog_pressure_limit * static_cast<double>(view.cluster().nodes);
-  for (hpcsim::JobId id : pending) {
-    backlog_nodes += static_cast<double>(start_nodes(table, view.slot_of(id)));
-    if (backlog_nodes > backlog_limit) break;  // only the comparison matters
+  const bool hold_allowed =
+      !green_now(view) && !pressured(view) && greener_period_ahead(view);
+  if (!hold_allowed) {
+    eligible.assign(pending.begin(), pending.end());
+    easy_pass(view, eligible, /*shrink_moldable=*/false, &releases_);
+    return;
   }
-  const bool pressured = backlog_nodes > backlog_limit;
 
-  bool hold_allowed = !green_now && !pressured;
-  if (hold_allowed) {
-    // Only hold if the forecast actually promises a greener window.
-    hold_allowed = greener_period_ahead(view);
-  }
+  // Hold every job still inside its wait budget for the green period;
+  // the rest are released to EASY. One pass, counters added once.
   static obs::Counter& hold_ticks =
       obs::Registry::global().counter("sched.carbon.hold_ticks");
   static obs::Counter& held_jobs =
       obs::Registry::global().counter("sched.carbon.held_jobs");
   static obs::Counter& over_budget_releases =
       obs::Registry::global().counter("sched.carbon.released_over_budget");
-  if (hold_allowed) hold_ticks.add();
-
-  std::vector<hpcsim::JobId>& eligible = eligible_scratch_;
+  hold_ticks.add();
+  const hpcsim::JobTable& table = view.job_table();
+  const Duration now = view.now();
   eligible.clear();
-  eligible.reserve(pending.size());
   for (hpcsim::JobId id : pending) {
-    const Duration waited = view.now() - seconds(table.submit_s[view.slot_of(id)]);
-    const bool over_budget = waited >= cfg_.max_hold;
-    if (hold_allowed && !over_budget) {
-      held_jobs.add();
-      continue;  // hold for a green period
-    }
-    if (hold_allowed && over_budget) over_budget_releases.add();
-    eligible.push_back(id);
+    const Duration waited = now - seconds(table.submit_s[view.slot_of(id)]);
+    if (waited >= cfg_.max_hold) eligible.push_back(id);
   }
-  if (!eligible.empty()) easy_pass(view, eligible, /*shrink_moldable=*/false, &releases_);
+  held_jobs.add(pending.size() - eligible.size());
+  if (eligible.empty()) return;
+  over_budget_releases.add(eligible.size());
+  easy_pass(view, eligible, /*shrink_moldable=*/false, &releases_);
+}
+
+bool CarbonAwareEasyScheduler::green_now(const hpcsim::SimulationView& view) {
+  return view.carbon_intensity_now() <= incremental_threshold(view);
+}
+
+bool CarbonAwareEasyScheduler::pressured(const hpcsim::SimulationView& view) const {
+  // Queue-pressure guard: holding jobs while the backlog is deep only
+  // trades wait time for no carbon benefit (the machine will be full
+  // either way), so the gate opens under pressure.
+  const hpcsim::JobTable& table = view.job_table();
+  const double backlog_limit =
+      cfg_.backlog_pressure_limit * static_cast<double>(view.cluster().nodes);
+  double backlog_nodes = 0.0;
+  for (hpcsim::JobId id : view.pending_jobs()) {
+    backlog_nodes += static_cast<double>(start_nodes(table, view.slot_of(id)));
+    if (backlog_nodes > backlog_limit) return true;  // only the comparison matters
+  }
+  return false;
 }
 
 }  // namespace greenhpc::sched

@@ -91,6 +91,10 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   [[nodiscard]] double current_threshold(const hpcsim::SimulationView& view) const;
 
  private:
+  /// The observed intensity is at or below the green threshold.
+  [[nodiscard]] bool green_now(const hpcsim::SimulationView& view);
+  /// The pending backlog exceeds backlog_pressure_limit x cluster nodes.
+  [[nodiscard]] bool pressured(const hpcsim::SimulationView& view) const;
   [[nodiscard]] bool greener_period_ahead(const hpcsim::SimulationView& view);
   /// current_threshold() via a sliding sorted window over the intensity
   /// history instead of a per-tick copy-and-sort of the whole window.
@@ -102,8 +106,8 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   Config cfg_;
   std::shared_ptr<const carbon::Forecaster> forecaster_;
   ReleaseCache releases_;
-  // Per-tick queue snapshots, reused across ticks to avoid reallocation.
-  std::vector<hpcsim::JobId> pending_scratch_;
+  // The jobs handed to easy_pass this tick (a copy: starting a job
+  // mutates the pending queue), reused across ticks.
   std::vector<hpcsim::JobId> eligible_scratch_;
   // Incremental views of the (append-only) intensity history. Both track
   // how much history they have consumed and rebuild from scratch if the

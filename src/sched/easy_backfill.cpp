@@ -25,26 +25,21 @@ std::vector<ReleaseEvent> projected_releases(const hpcsim::SimulationView& view)
 
 const std::vector<ReleaseEvent>& ReleaseCache::get(const hpcsim::SimulationView& view) {
   const Duration now = view.now();
+  const std::uint64_t epoch = view.discrete_epoch();
+  if (valid_ && epoch == epoch_ && now < earliest_end_) return releases_;
   const hpcsim::JobTable& t = view.job_table();
-  scratch_.clear();
-  bool any_overrun = false;
+  releases_.clear();
+  earliest_end_ = hpcsim::quiescent_forever();
   for (hpcsim::JobId id : view.running_jobs()) {
     const std::size_t i = view.slot_of(id);
-    const Duration end = seconds(t.start_s[i]) + seconds(t.walltime_s[i]);
-    if (end <= now) any_overrun = true;
-    scratch_.push_back({id, t.alloc_nodes[i], end});
-  }
-  // An overrunning job's projected release is now + tick, which moves
-  // every tick even with the set unchanged — never reuse across it.
-  if (valid_ && !any_overrun && scratch_ == signature_) return releases_;
-  signature_ = scratch_;
-  releases_.clear();
-  for (const Entry& e : signature_) {
-    const Duration end = e.end <= now ? now + view.cluster().tick : e.end;
-    releases_.push_back({end, e.nodes});
+    Duration end = seconds(t.start_s[i]) + seconds(t.walltime_s[i]);
+    earliest_end_ = std::min(earliest_end_, end);
+    if (end <= now) end = now + view.cluster().tick;  // overran its estimate
+    releases_.push_back({end, t.alloc_nodes[i]});
   }
   std::sort(releases_.begin(), releases_.end(),
             [](const ReleaseEvent& a, const ReleaseEvent& b) { return a.time < b.time; });
+  epoch_ = epoch;
   valid_ = true;
   return releases_;
 }

@@ -10,6 +10,7 @@
 // reservation — either they finish before the reservation (by their own
 // walltime) or they use only nodes the reservation does not need.
 
+#include <cstdint>
 #include <vector>
 
 #include "hpcsim/policy.hpp"
@@ -49,13 +50,16 @@ struct Reservation {
 [[nodiscard]] Reservation compute_reservation(Duration now, int free, int needed,
                                               const std::vector<ReleaseEvent>& releases);
 
-/// Memoized release schedule: a long-running job set makes the projected
-/// timeline identical tick after tick, so the sorted vector is rebuilt
-/// only when the running set (ids, allocations, walltime-projected ends)
-/// changes or a job overruns its estimate (its projected release then
-/// tracks the moving clock). The cached vector is byte-identical to what
+/// Memoized release schedule, keyed on the view's discrete epoch. The
+/// running set, its allocations and its start times change only together
+/// with the epoch, so under an unchanged epoch the schedule moves only
+/// with the clock: a job passing its walltime-projected end remaps to the
+/// sliding now + tick. A hit therefore needs the same epoch and a clock
+/// still before the earliest projected end, and costs O(1); anything else
+/// rebuilds. The cached vector is byte-identical to what
 /// projected_releases() would return, so memoization cannot change any
-/// scheduling decision.
+/// scheduling decision. Epochs never repeat across Simulators, so a cache
+/// (and the policy holding it) may be reused for another run.
 class ReleaseCache {
  public:
   /// The release schedule for the view's current running set; reference
@@ -64,15 +68,9 @@ class ReleaseCache {
       const hpcsim::SimulationView& view);
 
  private:
-  struct Entry {
-    hpcsim::JobId id;
-    int nodes;
-    Duration end;  ///< raw walltime-projected end (before overrun remap)
-    bool operator==(const Entry&) const = default;
-  };
-  std::vector<Entry> signature_;
-  std::vector<Entry> scratch_;
   std::vector<ReleaseEvent> releases_;
+  std::uint64_t epoch_ = 0;  ///< discrete epoch releases_ was built at
+  Duration earliest_end_;    ///< earliest raw projected end (before remap)
   bool valid_ = false;
 };
 

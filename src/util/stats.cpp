@@ -67,18 +67,29 @@ SlidingPercentile::SlidingPercentile(std::size_t capacity) : capacity_(capacity)
 }
 
 void SlidingPercentile::push(double x) {
-  if (order_.size() == capacity_) {
-    // Evict the oldest value: any element equal to it is interchangeable
-    // in the sorted sequence, so erasing the first match is exact.
-    const double victim = order_[oldest_];
-    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), victim);
-    sorted_.erase(it);
-    order_[oldest_] = x;
-    oldest_ = (oldest_ + 1) % capacity_;
-  } else {
+  if (order_.size() < capacity_) {
     order_.push_back(x);
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), x), x);
+    return;
   }
-  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), x), x);
+  // Full window: the oldest value leaves and x enters in one shift of the
+  // elements between the two positions. Any element equal to the victim
+  // is interchangeable in the sorted sequence, so evicting the first match
+  // is exact.
+  const double victim = order_[oldest_];
+  order_[oldest_] = x;
+  oldest_ = (oldest_ + 1) % capacity_;
+  const auto out = std::lower_bound(sorted_.begin(), sorted_.end(), victim);
+  const auto in = std::upper_bound(sorted_.begin(), sorted_.end(), x);
+  if (in > out) {
+    // x sorts after the victim: close the gap leftwards, x lands just
+    // before its upper bound.
+    *std::move(out + 1, in, out) = x;
+  } else {
+    // x sorts before the victim: open a slot at `in`.
+    std::move_backward(in, out, out + 1);
+    *in = x;
+  }
 }
 
 double SlidingPercentile::percentile(double q) const {

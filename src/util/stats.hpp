@@ -65,7 +65,8 @@ struct Summary {
 /// Percentiles over a sliding window of the last `capacity` appended
 /// values, bit-identical to calling percentile() on that window but
 /// without the per-query copy-and-sort: the window is kept sorted across
-/// appends (one binary search + memmove per push instead of an
+/// appends (two binary searches and one shift of the elements between
+/// the evicted and the inserted value per push, instead of an
 /// O(W log W) sort per query). Built for per-tick quantile gates over a
 /// trailing history window (e.g. the carbon-aware green threshold).
 class SlidingPercentile {

@@ -17,7 +17,10 @@
 // backfill runs the full clean/faults x dense/sparse/waves x plain/
 // telemetry/feed cross product; under periodic checkpointing its jobs
 // also overrun their walltime estimates, which drives its span horizon
-// down to `now` (the overrun fence).
+// down to `now` (the overrun fence). The overrun-crossing slice draws
+// EASY and conservative scenarios in which an overrunning job's sliding
+// release reaches another job's fixed projected end within one tick, the
+// one case where the fence changes a decision.
 //
 // Both engines share the per-job step, so bit-identity alone no longer
 // checks the integration formula independently: each run is also checked
@@ -152,6 +155,14 @@ struct Combo {
   // backfill policies' overrun fence runs; the OverrunFence tests below
   // build the rarer case where it changes a result.
   bool overrun = false;
+  // Draw overrun crossings: checkpointable jobs get their bare runtime as
+  // the walltime estimate and checkpoint in place every 30 minutes, so the
+  // checkpoint overhead runs them past the estimate while other jobs hold
+  // fixed projected ends. The reference run must see a tick at which an
+  // overrunning job's sliding release (now + tick) reaches another job's
+  // fixed projected end; only the policy's overrun fence stops a span from
+  // integrating past that tick.
+  bool crossings = false;
 };
 
 /// Readable test parameter (gtest would otherwise print raw bytes,
@@ -162,6 +173,7 @@ void PrintTo(const Combo& c, std::ostream* os) {
       << " waves=" << c.waves << " telemetry=" << c.telemetry
       << " feed=" << c.feed;
   if (c.overrun) *os << " overrun=1";
+  if (c.crossings) *os << " crossings=1";
 }
 
 /// Both engines' telemetry stores must hold the same sensors with the
@@ -222,8 +234,37 @@ std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name
   return nullptr;
 }
 
+/// Counts the ticks at which some running job has overrun its walltime
+/// estimate while another job's fixed projected end falls within the
+/// next tick, then lets the wrapped policy act. Reference runs only: it
+/// forwards no span attestation.
+class CrossingProbe final : public hpcsim::SchedulingPolicy {
+ public:
+  explicit CrossingProbe(hpcsim::SchedulingPolicy& inner) : inner_(inner) {}
+  void on_tick(hpcsim::SimulationView& view) override {
+    const hpcsim::JobTable& t = view.job_table();
+    const Duration now = view.now();
+    bool overrun = false;
+    bool end_next_tick = false;
+    for (const hpcsim::JobId id : view.running_jobs()) {
+      const std::size_t i = view.slot_of(id);
+      const Duration end = seconds(t.start_s[i]) + seconds(t.walltime_s[i]);
+      overrun = overrun || end <= now;
+      end_next_tick = end_next_tick || (end > now && end <= now + view.cluster().tick);
+    }
+    if (overrun && end_next_tick && !view.pending_jobs().empty()) ++crossings;
+    inner_.on_tick(view);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  int crossings = 0;
+
+ private:
+  hpcsim::SchedulingPolicy& inner_;
+};
+
 hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
-                                  telemetry::SensorStore* store) {
+                                  telemetry::SensorStore* store,
+                                  int* crossings = nullptr) {
   core::ScenarioConfig sc;
   sc.cluster.nodes = combo.nodes;
   sc.cluster.node_tdp = watts(500.0);
@@ -268,6 +309,13 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
     cfg.faults.victim_seed = combo.seed ^ 0x5eedu;
   }
 
+  std::vector<hpcsim::JobSpec> jobs = runner.jobs();
+  if (combo.crossings) {
+    for (hpcsim::JobSpec& j : jobs) {
+      if (j.checkpointable) j.walltime = j.runtime;
+    }
+  }
+
   std::unique_ptr<hpcsim::SchedulingPolicy> sched;
   std::unique_ptr<hpcsim::SchedulingPolicy> inner;
   const std::string name = combo.scheduler;
@@ -276,13 +324,18 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
     inner = make_scheduler(name.substr(0, name.size() - ydckpt.size()));
     resilience::CheckpointPolicyConfig cp;
     cp.node_mtbf = hours(400.0);
+    if (combo.crossings) cp.fixed_interval = minutes(30.0);
     sched = std::make_unique<resilience::PeriodicCheckpointPolicy>(*inner, cp);
   } else {
     sched = make_scheduler(combo.scheduler);
   }
 
-  hpcsim::Simulator sim(cfg, runner.jobs());
-  return sim.run(*sched);
+  hpcsim::Simulator sim(cfg, std::move(jobs));
+  if (crossings == nullptr) return sim.run(*sched);
+  CrossingProbe probe(*sched);
+  auto result = sim.run(probe);
+  *crossings = probe.crossings;
+  return result;
 }
 
 class FastPathEquivalence : public ::testing::TestWithParam<Combo> {};
@@ -291,8 +344,10 @@ TEST_P(FastPathEquivalence, ReferenceAndFastPathsMatchBitForBit) {
   const Combo& combo = GetParam();
   telemetry::SensorStore ref_store;
   telemetry::SensorStore fast_store;
+  int crossings = 0;
   const auto ref = run_once(combo, /*reference_mode=*/true,
-                            combo.telemetry ? &ref_store : nullptr);
+                            combo.telemetry ? &ref_store : nullptr,
+                            combo.crossings ? &crossings : nullptr);
   const auto fast = run_once(combo, /*reference_mode=*/false,
                              combo.telemetry ? &fast_store : nullptr);
   EXPECT_GT(ref.completed_jobs, 0);
@@ -306,6 +361,9 @@ TEST_P(FastPathEquivalence, ReferenceAndFastPathsMatchBitForBit) {
       overran = overran || j.finish - j.start > j.spec.walltime;
     }
     EXPECT_TRUE(overran) << "no job ran past its walltime estimate";
+  }
+  if (combo.crossings) {
+    EXPECT_GT(crossings, 0) << "no overrun release reached a fixed projected end";
   }
   if (combo.telemetry) {
     EXPECT_GT(ref_store.size(), 0u);
@@ -441,6 +499,27 @@ std::vector<Combo> conservative_combos() {
 
 INSTANTIATE_TEST_SUITE_P(Conservative, FastPathEquivalence,
                          ::testing::ValuesIn(conservative_combos()), combo_name);
+
+/// EASY and conservative under tight estimates and in-place checkpoints,
+/// dense arrivals (overlapping jobs make crossings common), clean and
+/// faulted, four seeds each.
+std::vector<Combo> crossing_combos() {
+  std::vector<Combo> combos;
+  std::uint64_t seed = 201;
+  for (const char* policy : {"easy+ydckpt", "conservative+ydckpt"}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      for (const bool faults : {false, true}) {
+        Combo c{policy, seed++, rep % 2 == 0 ? 32 : 48, rep % 2 == 0 ? 110 : 160, 0.5, faults};
+        c.crossings = true;
+        combos.push_back(c);
+      }
+    }
+  }
+  return combos;
+}
+
+INSTANTIATE_TEST_SUITE_P(OverrunCrossings, FastPathEquivalence,
+                         ::testing::ValuesIn(crossing_combos()), combo_name);
 
 }  // namespace
 }  // namespace greenhpc

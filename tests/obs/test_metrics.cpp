@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +34,60 @@ TEST(MetricsCounter, ConcurrentIncrementsAllLand) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+// Each counter spreads its value over kStripes cache-line cells; the
+// header documents the cost this pins.
+static_assert(alignof(Counter) == 64);
+static_assert(sizeof(Counter) == Counter::kStripes * 64);
+
+TEST(MetricsCounter, StripedAddsFromManyThreadsSumExactly) {
+  Registry reg;
+  Counter& a = reg.counter("striped.a");
+  Counter& b = reg.counter("striped.b");
+  // More threads than stripes, so some threads share a cell.
+  constexpr int kThreads = static_cast<int>(Counter::kStripes) + 3;
+  constexpr std::uint64_t kPerThread = 20000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&a, &b, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        a.add();
+        b.add(static_cast<std::uint64_t>(t) + 1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::uint64_t want_a = kThreads * kPerThread;
+  const std::uint64_t want_b = kPerThread * kThreads * (kThreads + 1) / 2;
+  EXPECT_EQ(a.value(), want_a);
+  EXPECT_EQ(b.value(), want_b);
+
+  // The snapshot and the JSON/CSV writers see the sums, in the same shape
+  // as before striping.
+  const StatSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(*snap.find_counter("striped.a"), want_a);
+  EXPECT_EQ(*snap.find_counter("striped.b"), want_b);
+  std::ostringstream json;
+  reg.write_json(json);
+  EXPECT_EQ(json.str(), "{\"counters\":{\"striped.a\":" + std::to_string(want_a) +
+                            ",\"striped.b\":" + std::to_string(want_b) +
+                            "},\"gauges\":{},\"histograms\":{}}\n");
+  std::ostringstream csv;
+  reg.write_csv(csv);
+  EXPECT_EQ(csv.str(), "kind,name,value\ncounter,striped.a," + std::to_string(want_a) +
+                           "\ncounter,striped.b," + std::to_string(want_b) + "\n");
+
+  // reset() clears every stripe, not just the caller's.
+  reg.reset();
+  EXPECT_EQ(a.value(), 0u);
+  EXPECT_EQ(b.value(), 0u);
+  std::thread([&a] { a.add(5); }).join();
+  a.add(2);
+  EXPECT_EQ(a.value(), 7u);
+  EXPECT_EQ(*reg.snapshot().find_counter("striped.a"), 7u);
 }
 
 TEST(MetricsGauge, SetAddValue) {

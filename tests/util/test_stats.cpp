@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace greenhpc::util {
 namespace {
@@ -85,6 +89,80 @@ TEST(Percentile, Preconditions) {
   EXPECT_THROW((void)percentile(xs, 0.5), greenhpc::InvalidArgument);
   std::vector<double> ok = {1.0};
   EXPECT_THROW((void)percentile(ok, 1.5), greenhpc::InvalidArgument);
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// How the next pushed value relates to the window.
+enum class Draw {
+  Uniform,    ///< fresh continuous values
+  Few,        ///< four distinct values: long runs of duplicates
+  Constant,   ///< every value equal
+  VsEvicted,  ///< equal to, above or below the value the push evicts
+};
+
+/// After every push the window's percentiles must equal util::percentile
+/// over the same tail, by bit pattern.
+void check_window(std::size_t capacity, Draw draw, std::uint64_t seed) {
+  SlidingPercentile sp(capacity);
+  std::deque<double> tail;
+  Rng rng(seed);
+  const std::size_t pushes = 2 * capacity + 25;
+  for (std::size_t n = 0; n < pushes; ++n) {
+    double x = 0.0;
+    switch (draw) {
+      case Draw::Uniform: x = rng.uniform(50.0, 600.0); break;
+      case Draw::Few: x = 100.0 * static_cast<double>(rng.uniform_int(1, 4)); break;
+      case Draw::Constant: x = 321.5; break;
+      case Draw::VsEvicted: {
+        // Before the window fills nothing is evicted: seed it with
+        // duplicates-heavy values so equal neighbours exist.
+        if (tail.size() < capacity) {
+          x = 10.0 * static_cast<double>(rng.uniform_int(1, 5));
+          break;
+        }
+        const double evicted = tail.front();
+        switch (rng.uniform_int(0, 3)) {
+          case 0: x = evicted; break;
+          case 1: x = evicted + 10.0 * static_cast<double>(rng.uniform_int(1, 3)); break;
+          case 2: x = evicted - 10.0 * static_cast<double>(rng.uniform_int(1, 3)); break;
+          default:
+            x = tail[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(tail.size()) - 1))];
+        }
+        break;
+      }
+    }
+    sp.push(x);
+    tail.push_back(x);
+    if (tail.size() > capacity) tail.pop_front();
+    ASSERT_EQ(sp.size(), tail.size());
+    const std::vector<double> window(tail.begin(), tail.end());
+    for (const double q : {0.0, 0.1, 0.4, 0.5, 0.9, 1.0}) {
+      ASSERT_EQ(bits(sp.percentile(q)), bits(percentile(window, q)))
+          << "capacity " << capacity << " push " << n << " q " << q;
+    }
+  }
+}
+
+TEST(SlidingPercentile, MatchesPercentileOfTheTailAfterEveryPush) {
+  std::uint64_t seed = 1;
+  for (const std::size_t capacity : {1u, 2u, 7u, 864u}) {
+    for (const Draw draw : {Draw::Uniform, Draw::Few, Draw::Constant, Draw::VsEvicted}) {
+      check_window(capacity, draw, seed++);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(SlidingPercentile, Preconditions) {
+  EXPECT_THROW(SlidingPercentile(0), greenhpc::InvalidArgument);
+  const SlidingPercentile empty(3);
+  EXPECT_THROW((void)empty.percentile(0.5), greenhpc::InvalidArgument);
 }
 
 TEST(Summarize, FullSummary) {
