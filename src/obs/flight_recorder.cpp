@@ -3,24 +3,9 @@
 #include <algorithm>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace greenhpc::obs {
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(std::max<std::size_t>(1, capacity)) {}

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace greenhpc::obs {
 
 namespace {
@@ -152,23 +154,6 @@ StatSnapshot Registry::snapshot() const {
   }
   return out;
 }
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
 
 void Registry::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);

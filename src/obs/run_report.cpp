@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace greenhpc::obs {
@@ -14,23 +15,6 @@ std::uint64_t fnv1a(std::string_view s) {
   }
   return h;
 }
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
 
 void RunReport::write_json(std::ostream& os) const {
   os << "{\n  \"tool\": \"";

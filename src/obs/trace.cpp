@@ -7,6 +7,8 @@
 #include <mutex>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace greenhpc::obs {
 
 namespace detail {
@@ -62,20 +64,6 @@ Ring& local_ring() {
 std::chrono::steady_clock::time_point epoch() {
   static const auto t0 = std::chrono::steady_clock::now();
   return t0;
-}
-
-void json_escape(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
 }
 
 }  // namespace

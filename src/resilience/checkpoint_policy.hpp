@@ -71,7 +71,8 @@ class PeriodicCheckpointPolicy final : public hpcsim::SchedulingPolicy {
                                                     Duration node_mtbf, int nodes);
 
  private:
-  [[nodiscard]] Duration interval_for(const hpcsim::JobSpec& spec) const;
+  /// A job's interval from its JobTable columns (ckpt_overhead_s, nodes_used).
+  [[nodiscard]] Duration interval_for(double ckpt_overhead_s, int nodes_used) const;
 
   hpcsim::SchedulingPolicy& inner_;
   CheckpointPolicyConfig cfg_;

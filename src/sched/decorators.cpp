@@ -31,7 +31,20 @@ double CheckpointDecorator::quantile_threshold(const hpcsim::SimulationView& vie
   return util::percentile(tail, quantile);
 }
 
+namespace {
+
+/// Nodes a suspended job resumes on: its request if rigid, else its
+/// natural size clamped into its malleable range.
+int resume_nodes(const hpcsim::JobTable& t, std::size_t i) {
+  return t.kind[i] == hpcsim::JobKind::Rigid
+             ? t.nodes_requested[i]
+             : std::clamp(t.nodes_used[i], t.min_nodes[i], t.max_nodes[i]);
+}
+
+}  // namespace
+
 void CheckpointDecorator::on_tick(hpcsim::SimulationView& view) {
+  const hpcsim::JobTable& t = view.job_table();
   // Degraded-feed fallback: with the signal past its staleness horizon
   // there is no defensible carbon reason to keep work off the machine, so
   // resume everything (ignoring min_dwell — the hold's justification
@@ -39,11 +52,7 @@ void CheckpointDecorator::on_tick(hpcsim::SimulationView& view) {
   if (view.carbon_signal_staleness() > cfg_.staleness_horizon) {
     const std::vector<hpcsim::JobId> suspended = view.suspended_jobs();
     for (hpcsim::JobId id : suspended) {
-      const auto& spec = view.spec(id);
-      const int nodes = spec.kind == hpcsim::JobKind::Rigid
-                            ? spec.nodes_requested
-                            : std::clamp(spec.nodes_used, spec.min_nodes, spec.max_nodes);
-      if (view.resume(id, nodes)) suspended_at_.erase(id);
+      if (view.resume(id, resume_nodes(t, view.slot_of(id)))) suspended_at_.erase(id);
     }
     inner_->on_tick(view);
     return;
@@ -65,33 +74,31 @@ void CheckpointDecorator::on_tick(hpcsim::SimulationView& view) {
                 });
       for (hpcsim::JobId id : suspended) {
         if (view.now() - suspended_at_[id] < cfg_.min_dwell) continue;
-        const auto& spec = view.spec(id);
-        const int nodes = spec.kind == hpcsim::JobKind::Rigid
-                              ? spec.nodes_requested
-                              : std::clamp(spec.nodes_used, spec.min_nodes, spec.max_nodes);
-        if (view.resume(id, nodes)) suspended_at_.erase(id);
+        if (view.resume(id, resume_nodes(t, view.slot_of(id)))) suspended_at_.erase(id);
       }
     } else if (ci >= hi) {
       // Dirty: suspend long-remaining checkpointable jobs, largest power
       // footprint first, bounded by the suspended-capacity cap.
       int suspended_nodes = 0;
       for (hpcsim::JobId id : view.suspended_jobs()) {
-        suspended_nodes += view.spec(id).nodes_used;
+        suspended_nodes += t.nodes_used[view.slot_of(id)];
       }
       const int cap = static_cast<int>(cfg_.max_suspended_fraction *
                                        static_cast<double>(view.cluster().nodes));
       std::vector<hpcsim::JobId> running = view.running_jobs();
+      const auto footprint_w = [&](hpcsim::JobId id) {
+        const std::size_t i = view.slot_of(id);
+        return t.alloc_nodes[i] * t.eff_power_w[i];
+      };
       std::sort(running.begin(), running.end(), [&](hpcsim::JobId a, hpcsim::JobId b) {
-        const auto da = view.info(a).alloc_nodes * view.spec(a).effective_node_power().watts();
-        const auto db = view.info(b).alloc_nodes * view.spec(b).effective_node_power().watts();
-        return da > db;
+        return footprint_w(a) > footprint_w(b);
       });
       for (hpcsim::JobId id : running) {
         if (suspended_nodes >= cap) break;
-        const auto& spec = view.spec(id);
-        if (!spec.checkpointable) continue;
+        const std::size_t i = view.slot_of(id);
+        if (t.checkpointable[i] == 0) continue;
         if (view.estimated_remaining(id) < cfg_.min_remaining) continue;
-        const int held = view.info(id).alloc_nodes;
+        const int held = t.alloc_nodes[i];
         if (view.suspend(id)) {
           suspended_at_[id] = view.now();
           suspended_nodes += held;
@@ -118,27 +125,29 @@ void MalleableDecorator::on_tick(hpcsim::SimulationView& view) {
 
   const double budget_w = view.power_budget().watts() * cfg_.target_utilization;
   double draw_w = view.full_draw().watts();
+  const hpcsim::JobTable& t = view.job_table();
+  const auto alloc_of = [&](hpcsim::JobId id) { return t.alloc_nodes[view.slot_of(id)]; };
 
   std::vector<hpcsim::JobId> malleable;
   for (hpcsim::JobId id : view.running_jobs()) {
-    if (view.spec(id).kind == hpcsim::JobKind::Malleable) malleable.push_back(id);
+    if (t.kind[view.slot_of(id)] == hpcsim::JobKind::Malleable) malleable.push_back(id);
   }
   if (malleable.empty()) return;
 
   if (draw_w > budget_w) {
     // Over budget: shrink, largest allocations first.
     std::sort(malleable.begin(), malleable.end(), [&](hpcsim::JobId a, hpcsim::JobId b) {
-      return view.info(a).alloc_nodes > view.info(b).alloc_nodes;
+      return alloc_of(a) > alloc_of(b);
     });
     for (hpcsim::JobId id : malleable) {
       if (draw_w <= budget_w) break;
-      const auto& spec = view.spec(id);
-      const int alloc = view.info(id).alloc_nodes;
-      const double per_node_w = spec.effective_node_power().watts();
+      const std::size_t i = view.slot_of(id);
+      const int alloc = t.alloc_nodes[i];
+      const double per_node_w = t.eff_power_w[i];
       const int deficit_nodes =
           static_cast<int>(std::ceil((draw_w - budget_w) / per_node_w));
       const int target =
-          std::max(spec.min_nodes, alloc - std::min(cfg_.max_step, deficit_nodes));
+          std::max(t.min_nodes[i], alloc - std::min(cfg_.max_step, deficit_nodes));
       if (target < alloc && view.reshape(id, target)) {
         draw_w -= per_node_w * static_cast<double>(alloc - target);
       }
@@ -146,16 +155,16 @@ void MalleableDecorator::on_tick(hpcsim::SimulationView& view) {
   } else {
     // Headroom: grow, smallest allocations first (fairness).
     std::sort(malleable.begin(), malleable.end(), [&](hpcsim::JobId a, hpcsim::JobId b) {
-      return view.info(a).alloc_nodes < view.info(b).alloc_nodes;
+      return alloc_of(a) < alloc_of(b);
     });
     for (hpcsim::JobId id : malleable) {
-      const auto& spec = view.spec(id);
-      const int alloc = view.info(id).alloc_nodes;
-      const double per_node_w = spec.effective_node_power().watts();
+      const std::size_t i = view.slot_of(id);
+      const int alloc = t.alloc_nodes[i];
+      const double per_node_w = t.eff_power_w[i];
       const int headroom_nodes =
           static_cast<int>((budget_w - draw_w) / std::max(per_node_w, 1.0));
       if (headroom_nodes <= 0 || view.free_nodes() <= 0) break;
-      const int target = std::min({spec.max_nodes, alloc + cfg_.max_step,
+      const int target = std::min({t.max_nodes[i], alloc + cfg_.max_step,
                                    alloc + headroom_nodes, alloc + view.free_nodes()});
       if (target > alloc && view.reshape(id, target)) {
         draw_w += per_node_w * static_cast<double>(target - alloc);

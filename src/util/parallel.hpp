@@ -12,9 +12,9 @@
 // chunks alongside the workers, OpenMP-style), and loops fall back to a
 // plain serial loop when parallel dispatch provably cannot win — a
 // single-worker pool, a single chunk, or a nested call from inside a
-// parallel region. The fallback is what keeps small sweeps (the measured
-// serial/parallel crossover in bench_perf) from paying wakeup latency for
-// nothing: below it, "parallel" IS the serial loop. run_team is the
+// parallel region. The fallback is what keeps small sweeps (below the
+// serial/parallel crossover) from paying wakeup latency for nothing:
+// below it, "parallel" IS the serial loop. run_team is the
 // other shape: one long-running body per team member, lane 0 on the
 // caller, for work where the caller holds a role of its own (the sweep
 // engine's in-order fold).
